@@ -96,9 +96,9 @@ main(int argc, char **argv)
                         "retries", "EC rebuilds", "pushdown fallbacks",
                         "baseline p99"});
     // Robustness counters come from the Fusion store's metrics registry
-    // (the authoritative fault.* instruments; FaultStats is just a view
-    // over them). Each sweep level runs on a fresh rig with faults armed
-    // only during the measured runs, so cumulative counts == run counts.
+    // (the fault.* instruments). Each sweep level runs on a fresh rig
+    // with faults armed only during the measured runs, so cumulative
+    // counts == run counts.
     auto add_row = [&](size_t crashes, const Comparison &c,
                        const store::FusionStore &fusion) {
         obs::MetricsSnapshot snap = fusion.obs().metrics.snapshot();

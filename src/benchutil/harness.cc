@@ -121,16 +121,14 @@ runClosedLoop(store::ObjectStore &store, const RunConfig &config,
     sim::SimEngine &engine = store.cluster().engine();
     double wall_start = engine.now();
     uint64_t traffic_start = store.cluster().totalNetworkBytes();
-    store::ObjectStore::FaultStats faults_start = store.faultStats();
+    const obs::MetricsSnapshot metrics_start = store.obs().metrics.snapshot();
 
     const bool obs_on = g_obs_options.enabled();
-    obs::MetricsSnapshot metrics_start;
     if (obs_on) {
         if (!g_obs_options.traceOut.empty())
             store.obs().tracer.setEnabled(true);
         if (!g_obs_options.timeseriesOut.empty())
             store.obs().telemetry.flight().setEnabled(true);
-        metrics_start = store.obs().metrics.snapshot();
     }
 
     size_t issued = 0;
@@ -181,21 +179,21 @@ runClosedLoop(store::ObjectStore &store, const RunConfig &config,
     stats.wallSimSeconds = engine.now() - wall_start;
     stats.networkBytes =
         store.cluster().totalNetworkBytes() - traffic_start;
-    const store::ObjectStore::FaultStats &faults = store.faultStats();
-    stats.readRetries = faults.readRetries - faults_start.readRetries;
-    stats.parityReconstructions = faults.parityReconstructions -
-                                  faults_start.parityReconstructions;
-    stats.pushdownFallbacks =
-        faults.pushdownFallbacks - faults_start.pushdownFallbacks;
-    stats.degradedChunkReads =
-        faults.degradedChunkReads - faults_start.degradedChunkReads;
+    const obs::MetricsSnapshot metrics_delta =
+        store.obs().metrics.snapshot().diff(metrics_start);
+    auto fault_delta = [&metrics_delta](const char *name) {
+        return metrics_delta.values.at(std::string("fault.") + name).count;
+    };
+    stats.readRetries = fault_delta("read_retries");
+    stats.parityReconstructions = fault_delta("parity_reconstructions");
+    stats.pushdownFallbacks = fault_delta("pushdown_fallbacks");
+    stats.degradedChunkReads = fault_delta("degraded_chunk_reads");
     stats.meanStorageCpuUtilization =
         store.cluster().meanStorageCpuUtilization();
     FUSION_CHECK(stats.latency.count() == config.totalQueries);
 
     if (obs_on) {
-        g_metrics_accum.mergeFrom(
-            store.obs().metrics.snapshot().diff(metrics_start));
+        g_metrics_accum.mergeFrom(metrics_delta);
         obsCollect(store);
     }
     return stats;

@@ -45,7 +45,7 @@ struct RunStats {
     size_t projectionPushdowns = 0;
     size_t projectionFetches = 0;
     /** Robustness counters accumulated over the run (delta of the
-     *  store's faultStats() — nonzero only with faults injected). */
+     *  store's fault.* counters — nonzero only with faults injected). */
     uint64_t readRetries = 0;
     uint64_t parityReconstructions = 0;
     uint64_t pushdownFallbacks = 0;

@@ -145,8 +145,6 @@ SharedScanScheduler::submit(const query::Query &q, uint64_t tag)
     // Entry pass: create-or-join one window entry per keyed task.
     auto attach_all = [this](const std::vector<SimTask> &tasks) {
         std::vector<std::shared_ptr<ExecEntry>> entries(tasks.size());
-        if (!options_.dedupFetches)
-            return entries; // every task runs alone, old semantics
         for (size_t i = 0; i < tasks.size(); ++i)
             if (!tasks[i].shareKey.empty())
                 entries[i] = attachEntry(tasks[i].shareKey);
@@ -214,12 +212,12 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
             markOverride(*pq, t.chunkId, "fetch", "joined-inflight");
         // Pushdown replies on top of that fetch are pure extra wire:
         // flip any admitted pushdowns to ride it.
-        if (options_.dedupFetches && !g.converted && g.pusherCount > 0)
+        if (!g.converted && g.pusherCount > 0)
             convertGroup(g, "shared-fetch", false);
         return;
     }
 
-    if (g.converted || (g.hasFetcher && options_.dedupFetches)) {
+    if (g.converted || g.hasFetcher) {
         // The chunk already crosses the wire whole; ride that fetch.
         convertConsumer(*pq, ti, late ? "joined-inflight" : "shared-fetch",
                         false);
@@ -252,7 +250,7 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
     bool convert = false;
     bool load_shed = false;
     const char *reason = nullptr;
-    if (options_.mergePushdowns && g.pusherCount >= 2) {
+    if (g.pusherCount >= 2) {
         if (!decision.push) {
             convert = true;
             load_shed = decision.loadShed;
@@ -350,7 +348,7 @@ SharedScanScheduler::convertConsumer(PendingQuery &pq, size_t ti,
     // entry under the pushdown key; rebind them to the shared fetch.
     // (The submitting query's entry pass runs after the group pass and
     // picks up the rewritten key by itself.)
-    if (options_.dedupFetches && ti < pq.projEntries.size()) {
+    if (ti < pq.projEntries.size()) {
         releaseEntry(pq.projEntries[ti]);
         pq.projEntries[ti] = attachEntry(t.shareKey);
     }
@@ -429,25 +427,12 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
     obs::Tracer &tracer = store_.obs().tracer;
 
     if (entry == nullptr) {
-        // Unkeyed (or dedup disabled): runs alone. Refund any
-        // admission charge once the work completes.
+        // Unkeyed: never shareable, runs alone.
         ++stats_.tasksIssued;
         ins_.tasksIssued->add(1);
         ++stats_.perNode[task.nodeId].tasksIssued;
         store_.accountTask(task, coordinator, projection, plan.outcome);
-        auto charged = chargedLoad_.find(task.shareKey);
-        if (!task.shareKey.empty() && charged != chargedLoad_.end()) {
-            auto release = charged->second;
-            chargedLoad_.erase(charged);
-            auto wrap = std::make_shared<sim::Join>(
-                1, [this, release, join]() {
-                    nodeOutstanding_[release.first] -= release.second;
-                    join->signal();
-                });
-            store_.executeTask(task, coordinator, wrap);
-        } else {
-            store_.executeTask(task, coordinator, join);
-        }
+        store_.executeTask(task, coordinator, join);
         return;
     }
 
@@ -515,72 +500,23 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
 void
 SharedScanScheduler::startQuery(const std::shared_ptr<PendingQuery> &pq)
 {
-    sim::Cluster &cluster = store_.cluster();
-    obs::Tracer &tracer = store_.obs().tracer;
-    sim::StorageNode *client = &cluster.client();
-    sim::StorageNode *coord = &cluster.node(pq->plan->coordinatorId);
-
-    pq->spans[0] = tracer.beginSpan(
-        "query",
+    // The store's stage DAG, with every task demanded through the
+    // window; latency counts from admission, not from the start.
+    store_.simulateQuery(
+        pq->plan, pq->submitSeconds,
         "\"seq\": " + std::to_string(pq->seq) +
-            ", \"tag\": " + std::to_string(pq->handle->tag) +
-            ", \"filter_tasks\": " +
-            std::to_string(pq->plan->filterTasks.size()) +
-            ", \"projection_tasks\": " +
-            std::to_string(pq->plan->projectionTasks.size()));
-
-    auto finish = [this, pq, client, coord]() {
-        store_.obs().tracer.endSpan(pq->spans[2]);
-        store_.cluster().transfer(*coord, *client,
-                                  pq->plan->clientReplyBytes,
-                                  [this, pq]() { complete(pq); });
-    };
-
-    auto projection_stage = [this, pq, coord, finish]() {
-        obs::Tracer &t = store_.obs().tracer;
-        t.endSpan(pq->spans[1]);
-        pq->spans[2] = t.beginSpan("projection_stage");
-        coord->cpu().acquire(
-            pq->plan->interStageCoordWork, [this, pq, finish]() {
-                auto join = std::make_shared<sim::Join>(
-                    pq->plan->projectionTasks.size(), finish);
-                for (size_t ti = 0;
-                     ti < pq->plan->projectionTasks.size(); ++ti)
-                    demand(pq, true, ti, join);
-            });
-    };
-
-    auto filter_stage = [this, pq, projection_stage]() {
-        pq->spans[1] = store_.obs().tracer.beginSpan("filter_stage");
-        auto join = std::make_shared<sim::Join>(
-            pq->plan->filterTasks.size(), projection_stage);
-        for (size_t ti = 0; ti < pq->plan->filterTasks.size(); ++ti)
-            demand(pq, false, ti, join);
-    };
-
-    auto start_plan = [this, pq, filter_stage]() {
-        if (pq->plan->extraLatencySeconds > 0.0)
-            store_.cluster().engine().schedule(
-                pq->plan->extraLatencySeconds, filter_stage);
-        else
-            filter_stage();
-    };
-
-    cluster.transfer(*client, *coord, store_.options().clientRequestBytes,
-                     start_plan);
+            ", \"tag\": " + std::to_string(pq->handle->tag) + ", ",
+        [this, pq](bool projection, size_t ti,
+                   std::shared_ptr<sim::Join> join) {
+            demand(pq, projection, ti, join);
+        },
+        [this, pq]() { complete(pq); });
 }
 
 void
 SharedScanScheduler::complete(const std::shared_ptr<PendingQuery> &pq)
 {
-    sim::Cluster &cluster = store_.cluster();
     QueryPlan &plan = *pq->plan;
-    plan.outcome.latencySeconds =
-        cluster.engine().now() - pq->submitSeconds;
-    store_.recordQueryLatency(cluster.engine().now(),
-                              plan.outcome.latencySeconds);
-    store_.accountClientExchange(plan.clientReplyBytes, plan.outcome);
-
     // Re-attach the amended EXPLAIN report. All of this query's chunk
     // groups are sealed by now, so the overrides are final.
     if (!pq->overrides.empty() && plan.outcome.explain != nullptr) {
@@ -596,12 +532,10 @@ SharedScanScheduler::complete(const std::shared_ptr<PendingQuery> &pq)
             std::make_shared<const obs::QueryExplain>(std::move(amended));
     }
 
-    store_.obs().tracer.endSpan(pq->spans[0]);
-
     QueryHandle *h = pq->handle;
     h->outcome_ = plan.outcome;
     h->status_ = Status::ok();
-    h->doneSeconds_ = cluster.engine().now();
+    h->doneSeconds_ = store_.cluster().engine().now();
     h->state_ = QueryHandle::State::kDone;
     lastDoneSeconds_ = h->doneSeconds_;
     completed_.push_back(h);
@@ -614,7 +548,6 @@ SharedScanScheduler::startPending()
     while (!startQueue_.empty()) {
         auto pq = std::move(startQueue_.front());
         startQueue_.pop_front();
-        pq->started = true;
         startQuery(pq);
     }
 }

@@ -68,10 +68,6 @@ struct SchedOptions {
      * "load-shed"). 0 disables the term.
      */
     double nodeLoadLimitSeconds = 0.25;
-    /** Re-run the Cost Equation over merged consumer sets. */
-    bool mergePushdowns = true;
-    /** Share identical fetches across queries. */
-    bool dedupFetches = true;
 };
 
 /** Per-storage-node slice of the window's dedup accounting. */
@@ -173,10 +169,12 @@ class QueryHandle
 
 /**
  * Streams concurrent queries against one store through a continuous
- * admission window of deduplicated pushdown requests. The scheduler
- * owns no store state; it composes the store's public
- * planQueryForBatch / executeTask / accountTask hooks, so per-query
- * results are bit-identical to isolated execution.
+ * admission window of deduplicated pushdown requests. The window is a
+ * dispatch policy, not an executor: each admitted query runs through
+ * the store's own stage DAG (ObjectStore::simulateQuery), which hands
+ * every task to demand() instead of running it alone. A query
+ * submitted and awaited alone therefore matches store.query() exactly,
+ * and batched results are bit-identical to isolated execution.
  */
 class SharedScanScheduler
 {
@@ -270,7 +268,6 @@ class SharedScanScheduler
         QueryHandle *handle = nullptr;
         uint64_t seq = 0;
         double submitSeconds = 0.0;
-        bool started = false;
         std::shared_ptr<QueryPlan> plan;
         /** Window attachment per task (null = unkeyed, runs alone). */
         std::vector<std::shared_ptr<ExecEntry>> filterEntries;
@@ -278,7 +275,6 @@ class SharedScanScheduler
         /** EXPLAIN amendments: chunkId -> (verdict, reason). */
         std::map<uint32_t, std::pair<const char *, const char *>>
             overrides;
-        uint64_t spans[3] = {0, 0, 0}; // query / filter / projection
     };
 
     /** A consumer attached to a chunk's merge group. */
@@ -331,13 +327,14 @@ class SharedScanScheduler
     /** Refunds a completed entry's admitted pushdown load. */
     void releaseEntryLoad(ExecEntry &entry);
 
-    /** Starts the DES flow of every admitted-but-unstarted query. */
+    /** Starts the stage DAG of every admitted-but-unstarted query. */
     void startPending();
     void startQuery(const std::shared_ptr<PendingQuery> &pq);
-    /** Demands one task's execution: issue, or absorb into the shared
-     *  in-flight run the consumer attached to. */
+    /** The window's task dispatch: issue one task, or absorb it into
+     *  the shared in-flight run the consumer attached to. */
     void demand(const std::shared_ptr<PendingQuery> &pq, bool projection,
                 size_t ti, const std::shared_ptr<sim::Join> &join);
+    /** Applies the EXPLAIN amendments and completes the handle. */
     void complete(const std::shared_ptr<PendingQuery> &pq);
 
     store::ObjectStore &store_;

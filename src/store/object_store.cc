@@ -131,30 +131,6 @@ ObjectStore::recordQueryLatency(double now_seconds,
         "\"latency_seconds\": " + obs::formatDouble(latency_seconds));
 }
 
-ObjectStore::FaultStats
-ObjectStore::faultStats() const
-{
-    FaultStats out;
-    out.readRetries = ins_.readRetries->value();
-    out.readTimeouts = ins_.readTimeouts->value();
-    out.parityReconstructions = ins_.parityReconstructions->value();
-    out.degradedChunkReads = ins_.degradedChunkReads->value();
-    out.pushdownFallbacks = ins_.pushdownFallbacks->value();
-    out.backoffSeconds = ins_.backoffSeconds->value();
-    return out;
-}
-
-void
-ObjectStore::resetFaultStats()
-{
-    ins_.readRetries->reset();
-    ins_.readTimeouts->reset();
-    ins_.parityReconstructions->reset();
-    ins_.degradedChunkReads->reset();
-    ins_.pushdownFallbacks->reset();
-    ins_.backoffSeconds->reset();
-}
-
 bool
 ObjectStore::contains(const std::string &name) const
 {
@@ -1441,7 +1417,7 @@ ObjectStore::prefetchDecodedChunks(
 
     // Phase 1 (serial): fetch raw chunk bytes. This is where degraded
     // reads, retries and fault counters happen — it must stay on the
-    // calling thread so FaultStats are identical for any thread count.
+    // calling thread so they are identical for any thread count.
     std::vector<Bytes> raw(todo.size());
     for (size_t i = 0; i < todo.size(); ++i) {
         auto bytes = readChunkBytes(
@@ -1925,19 +1901,6 @@ ObjectStore::makeSharedFetchTask(const SimTask &pushdown) const
 }
 
 void
-ObjectStore::accountPlanResources(QueryPlan &plan) const
-{
-    QueryOutcome &out = plan.outcome;
-    for (const auto &task : plan.filterTasks)
-        accountTask(task, plan.coordinatorId, false, out);
-    for (const auto &task : plan.projectionTasks)
-        accountTask(task, plan.coordinatorId, true, out);
-    out.cpuSeconds +=
-        plan.interStageCoordWork / cluster_.config().node.cpuRate;
-    accountClientExchange(plan.clientReplyBytes, out);
-}
-
-void
 ObjectStore::executeTask(const SimTask &task, size_t coordinator,
                          std::shared_ptr<sim::Join> join)
 {
@@ -1989,55 +1952,63 @@ ObjectStore::executeTask(const SimTask &task, size_t coordinator,
 
 void
 ObjectStore::simulateQuery(std::shared_ptr<QueryPlan> plan,
-                           std::function<void(Result<QueryOutcome>)> done)
+                           double start_seconds,
+                           const std::string &span_args,
+                           TaskDispatch dispatch, std::function<void()> done)
 {
-    accountPlanResources(*plan);
-
     sim::StorageNode *client = &cluster_.client();
     sim::StorageNode *coord = &cluster_.node(plan->coordinatorId);
-    const double start = cluster_.engine().now();
 
     // Stage span ids cross several DES callbacks; the array outlives
     // this frame via shared_ptr. [0]=query, [1]=filter, [2]=projection.
     auto spans = std::make_shared<std::array<uint64_t, 3>>();
     (*spans)[0] = obs_.tracer.beginSpan(
-        "query", "\"filter_tasks\": " +
+        "query", span_args + "\"filter_tasks\": " +
                      std::to_string(plan->filterTasks.size()) +
                      ", \"projection_tasks\": " +
                      std::to_string(plan->projectionTasks.size()));
 
-    auto finish = [this, plan, done, client, coord, start, spans]() {
-        obs_.tracer.endSpan((*spans)[2]);
-        cluster_.transfer(*coord, *client, plan->clientReplyBytes,
-                          [this, plan, done, start, spans]() {
-                              plan->outcome.latencySeconds =
-                                  cluster_.engine().now() - start;
-                              recordQueryLatency(
-                                  cluster_.engine().now(),
-                                  plan->outcome.latencySeconds);
-                              obs_.tracer.endSpan((*spans)[0]);
-                              done(plan->outcome);
-                          });
+    auto reply = [this, plan, done = std::move(done), start_seconds,
+                  spans]() {
+        const double now = cluster_.engine().now();
+        plan->outcome.latencySeconds = now - start_seconds;
+        recordQueryLatency(now, plan->outcome.latencySeconds);
+        accountClientExchange(plan->clientReplyBytes, plan->outcome);
+        obs_.tracer.endSpan((*spans)[0]);
+        done();
     };
 
-    auto projection_stage = [this, plan, finish, coord, spans]() {
+    // Inter-stage CPU is summed after every task's own costs: one fixed
+    // order keeps cpuSeconds bit-stable under any dispatch.
+    auto finish = [this, plan, reply, client, coord, spans]() {
+        obs_.tracer.endSpan((*spans)[2]);
+        plan->outcome.cpuSeconds +=
+            plan->interStageCoordWork / cluster_.config().node.cpuRate;
+        cluster_.transfer(*coord, *client, plan->clientReplyBytes, reply);
+    };
+
+    auto run_stage = [plan, dispatch = std::move(dispatch)](
+                         bool projection, std::function<void()> next) {
+        const size_t n = projection ? plan->projectionTasks.size()
+                                    : plan->filterTasks.size();
+        auto join = std::make_shared<sim::Join>(n, std::move(next));
+        for (size_t ti = 0; ti < n; ++ti)
+            dispatch(projection, ti, join);
+    };
+
+    auto projection_stage = [this, plan, finish, run_stage, coord,
+                             spans]() {
         obs_.tracer.endSpan((*spans)[1]);
         (*spans)[2] = obs_.tracer.beginSpan("projection_stage");
-        coord->cpu().acquire(
-            plan->interStageCoordWork, [this, plan, finish]() {
-                auto join = std::make_shared<sim::Join>(
-                    plan->projectionTasks.size(), finish);
-                for (const auto &task : plan->projectionTasks)
-                    executeTask(task, plan->coordinatorId, join);
-            });
+        coord->cpu().acquire(plan->interStageCoordWork,
+                             [run_stage, finish]() {
+                                 run_stage(true, finish);
+                             });
     };
 
-    auto filter_stage = [this, plan, projection_stage, spans]() {
+    auto filter_stage = [this, run_stage, projection_stage, spans]() {
         (*spans)[1] = obs_.tracer.beginSpan("filter_stage");
-        auto join = std::make_shared<sim::Join>(plan->filterTasks.size(),
-                                                projection_stage);
-        for (const auto &task : plan->filterTasks)
-            executeTask(task, plan->coordinatorId, join);
+        run_stage(false, projection_stage);
     };
 
     // Retry backoff against faulted nodes delays the whole plan (the
@@ -2066,16 +2037,17 @@ ObjectStore::planQueryForBatch(const query::Query &q)
     auto resolved = resolveQuery(q, m.value()->fileMeta.schema);
     if (!resolved.isOk())
         return resolved.status();
-    FaultStats before = faultStats();
+    const uint64_t rebuilds_before = ins_.parityReconstructions->value();
+    const uint64_t retries_before = ins_.readRetries->value();
+    const double backoff_before = ins_.backoffSeconds->value();
     auto plan = planQuery(*m.value(), resolved.value());
     if (!plan.isOk())
         return plan.status();
-    FaultStats after = faultStats();
     QueryPlan &p = plan.value();
     p.outcome.parityReconstructions =
-        after.parityReconstructions - before.parityReconstructions;
-    p.outcome.readRetries = after.readRetries - before.readRetries;
-    p.extraLatencySeconds = after.backoffSeconds - before.backoffSeconds;
+        ins_.parityReconstructions->value() - rebuilds_before;
+    p.outcome.readRetries = ins_.readRetries->value() - retries_before;
+    p.extraLatencySeconds = ins_.backoffSeconds->value() - backoff_before;
     auto shared = std::make_shared<QueryPlan>(std::move(p));
     // Queries see appended rows immediately: every live delta segment
     // merges on top of the planned base-generation results.
@@ -2093,12 +2065,22 @@ void
 ObjectStore::queryAsync(const query::Query &q,
                         std::function<void(Result<QueryOutcome>)> done)
 {
-    auto plan = planQueryForBatch(q);
-    if (!plan.isOk()) {
-        done(plan.status());
+    auto planned = planQueryForBatch(q);
+    if (!planned.isOk()) {
+        done(planned.status());
         return;
     }
-    simulateQuery(std::move(plan.value()), std::move(done));
+    std::shared_ptr<QueryPlan> plan = std::move(planned.value());
+    // Every task runs alone: no other query shares its transfer.
+    auto dispatch = [this, plan](bool projection, size_t ti,
+                                 std::shared_ptr<sim::Join> join) {
+        const SimTask &task = projection ? plan->projectionTasks[ti]
+                                         : plan->filterTasks[ti];
+        accountTask(task, plan->coordinatorId, projection, plan->outcome);
+        executeTask(task, plan->coordinatorId, std::move(join));
+    };
+    simulateQuery(plan, cluster_.engine().now(), "", std::move(dispatch),
+                  [plan, done]() { done(plan->outcome); });
 }
 
 Result<QueryOutcome>

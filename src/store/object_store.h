@@ -262,41 +262,13 @@ class ObjectStore : public lifecycle::CompactionHost
     StoreStats stats() const;
 
     /**
-     * Cumulative robustness counters: how often reads hit faulted
-     * nodes and what the recovery machinery did about it. Benches and
-     * tests assert on these (and on their determinism across runs).
-     *
-     * The authoritative values live in this store's metrics registry
-     * under fault.* names; FaultStats is a compatibility view folded
-     * from those counters on demand.
-     */
-    struct FaultStats {
-        uint64_t readRetries = 0;     // backoff retries performed
-        uint64_t readTimeouts = 0;    // reads abandoned after retries
-        uint64_t parityReconstructions = 0; // blocks rebuilt via EC
-        uint64_t degradedChunkReads = 0; // chunk reads needing recovery
-        uint64_t pushdownFallbacks = 0;  // pushdowns moved coordinator-side
-        double backoffSeconds = 0.0;     // total simulated backoff waits
-
-        bool
-        operator==(const FaultStats &other) const
-        {
-            return readRetries == other.readRetries &&
-                   readTimeouts == other.readTimeouts &&
-                   parityReconstructions == other.parityReconstructions &&
-                   degradedChunkReads == other.degradedChunkReads &&
-                   pushdownFallbacks == other.pushdownFallbacks &&
-                   backoffSeconds == other.backoffSeconds;
-        }
-    };
-    FaultStats faultStats() const;
-    void resetFaultStats();
-
-    /**
      * This store's observability bundle: fault/cache/wire metrics, the
      * simulated-time span tracer and the EXPLAIN toggle. Process-wide
      * instruments (thread pool, EC dispatch) are in
-     * obs::MetricsRegistry::global() instead.
+     * obs::MetricsRegistry::global() instead. The robustness counters
+     * benches and tests assert on are the cumulative fault.* entries:
+     * read_retries, read_timeouts, parity_reconstructions,
+     * degraded_chunk_reads, pushdown_fallbacks and backoff_seconds.
      */
     obs::Observability &obs() { return obs_; }
     const obs::Observability &obs() const { return obs_; }
@@ -393,17 +365,39 @@ class ObjectStore : public lifecycle::CompactionHost
         QueryOutcome outcome;
     };
 
-    // ---- scheduler interface (sched::SharedScanScheduler) ----
+    // ---- query execution (queryAsync and sched::SharedScanScheduler) ----
 
     /**
-     * Resolves and plans a query without simulating it: the batch
-     * scheduler plans every admitted query first, dedups overlapping
-     * tasks across the plans, then drives its own simulation. Fault
-     * deltas observed during planning are folded into the plan exactly
-     * as queryAsync does.
+     * Resolves and plans a query without simulating it. Fault deltas
+     * observed during planning (parity rebuilds, retries, backoff) are
+     * folded into the plan; the admission window plans each query at
+     * submit and starts its stage DAG later.
      */
     Result<std::shared_ptr<QueryPlan>>
     planQueryForBatch(const query::Query &q);
+
+    /**
+     * Runs one planned task of a stage: `projection` selects the stage's
+     * task list, `ti` indexes it. Must signal `join` exactly once.
+     */
+    using TaskDispatch = std::function<void(
+        bool projection, size_t ti, std::shared_ptr<sim::Join> join)>;
+
+    /**
+     * The stage DAG every query runs through: client RPC -> retry
+     * backoff -> filter_stage -> inter-stage coordinator CPU ->
+     * projection_stage -> client reply. Each stage hands its tasks to
+     * `dispatch`; queryAsync runs every task alone (accountTask +
+     * executeTask), the admission window dedups them across queries.
+     * The DAG owns the query / filter_stage / projection_stage spans
+     * (`span_args` leads the query span's args), the inter-stage and
+     * client-exchange accounting, latencySeconds (measured from
+     * `start_seconds`) and the latency record. `done` fires at the
+     * client reply with plan->outcome final.
+     */
+    void simulateQuery(std::shared_ptr<QueryPlan> plan, double start_seconds,
+                       const std::string &span_args, TaskDispatch dispatch,
+                       std::function<void()> done);
 
     /**
      * Executes one planned task in simulated time: request transfer,
@@ -416,15 +410,12 @@ class ObjectStore : public lifecycle::CompactionHost
     /**
      * Folds one task's resource and wire costs into `out` and the
      * store's wire.* counters (`projection_stage` selects the counter
-     * family). The scheduler accounts each deduplicated task exactly
-     * once — that is where the shared-scan wire savings become visible.
+     * family). The admission window accounts each deduplicated task
+     * exactly once — that is where the shared-scan wire savings become
+     * visible.
      */
     void accountTask(const SimTask &task, size_t coordinator,
                      bool projection_stage, QueryOutcome &out) const;
-
-    /** Accounts one query's client request/reply exchange. */
-    void accountClientExchange(uint64_t reply_bytes,
-                               QueryOutcome &out) const;
 
     /**
      * The shared-fetch form of a planned projection pushdown: the
@@ -435,18 +426,6 @@ class ObjectStore : public lifecycle::CompactionHost
      * Cost Equation verdict flips to fetch before its transfer issued.
      */
     SimTask makeSharedFetchTask(const SimTask &pushdown) const;
-
-    /** The store's query-latency histogram (scheduler records into the
-     *  same instrument queryAsync uses). */
-    obs::Histogram &queryLatencyHistogram() { return *ins_.queryLatency; }
-
-    /**
-     * Records one completed query's latency into the histogram, the
-     * "query.latency_seconds" sliding window and (when enabled) the
-     * flight recorder — the single funnel for both the serial path and
-     * the shared-scan scheduler, so windowed rates see every query.
-     */
-    void recordQueryLatency(double now_seconds, double latency_seconds);
 
     /** The coordinator hot-chunk cache (disabled when capacity is 0). */
     cache::ChunkCache &chunkCache() { return chunkCache_; }
@@ -520,8 +499,8 @@ class ObjectStore : public lifecycle::CompactionHost
 
     /**
      * Warms the decode cache for a set of (row group, column) chunks:
-     * raw bytes are fetched serially (degraded reads and FaultStats
-     * stay deterministic), then decompress/decode fans out on the
+     * raw bytes are fetched serially (degraded reads and fault.*
+     * counters stay deterministic), then decompress/decode fans out on the
      * shared ThreadPool. Results are bit-identical to serial decoding
      * for any FUSION_THREADS value.
      */
@@ -589,7 +568,7 @@ class ObjectStore : public lifecycle::CompactionHost
      * future simulated times (consulting the cluster's fault injector,
      * when armed, so a flapping node can recover mid-retry). Returns
      * nullptr when the block is declared lost — the caller falls back
-     * to parity reconstruction. Counts into faultStats().
+     * to parity reconstruction. Counts into the fault.* counters.
      */
     const Bytes *fetchBlockWithRetry(const ObjectManifest &manifest,
                                      size_t stripe, size_t block_index);
@@ -658,7 +637,7 @@ class ObjectStore : public lifecycle::CompactionHost
 
     /**
      * Counters resolved once at construction so hot paths (and const
-     * methods like accountPlanResources) skip the registry's name map.
+     * methods like accountTask) skip the registry's name map.
      */
     struct Instruments {
         obs::Counter *readRetries = nullptr;
@@ -710,11 +689,17 @@ class ObjectStore : public lifecycle::CompactionHost
     cache::ChunkCache chunkCache_;
 
   private:
-    void simulateQuery(std::shared_ptr<QueryPlan> plan,
-                       std::function<void(Result<QueryOutcome>)> done);
     Result<Bytes> recoverBlock(const ObjectManifest &manifest,
                                size_t stripe, size_t block_index);
-    void accountPlanResources(QueryPlan &plan) const;
+    /** Accounts one query's client request/reply exchange. */
+    void accountClientExchange(uint64_t reply_bytes,
+                               QueryOutcome &out) const;
+    /**
+     * Records one completed query's latency into the histogram, the
+     * "query.latency_seconds" sliding window and (when enabled) the
+     * flight recorder, so windowed rates see every query.
+     */
+    void recordQueryLatency(double now_seconds, double latency_seconds);
 
     // ---- lifecycle internals ----
 

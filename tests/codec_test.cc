@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "codec/bitpack.h"
@@ -80,6 +81,13 @@ struct RleCase {
     std::vector<uint64_t> values;
     int width;
 };
+
+/** Test listings show the case name, not the struct's raw bytes. */
+void
+PrintTo(const RleCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class RleRoundTrip : public ::testing::TestWithParam<RleCase>
 {
@@ -192,6 +200,12 @@ struct SnappyCase {
     const char *name;
     Bytes input;
 };
+
+void
+PrintTo(const SnappyCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SnappyRoundTrip : public ::testing::TestWithParam<SnappyCase>
 {

@@ -14,6 +14,7 @@
 #include <optional>
 
 #include "common/random.h"
+#include "fault_counters.h"
 #include "query/eval.h"
 #include "sim/fault.h"
 #include "store/fusion_store.h"
@@ -252,7 +253,7 @@ TEST(FaultFuzzTest, SameSeedYieldsSameScheduleAndTrace)
 
     std::string traces[2];
     std::string schedules[2];
-    ObjectStore::FaultStats stats[2];
+    obs::MetricsSnapshot stats[2];
     std::vector<double> latencies[2];
     for (int round = 0; round < 2; ++round) {
         TestRig rig = makeFusionRig();
@@ -270,7 +271,7 @@ TEST(FaultFuzzTest, SameSeedYieldsSameScheduleAndTrace)
             latencies[round].push_back(outcome.value().latencySeconds);
         }
         traces[round] = rig.faults->traceString();
-        stats[round] = rig.store->faultStats();
+        stats[round] = testutil::faultCounters(*rig.store);
     }
     EXPECT_EQ(schedules[0], schedules[1]);
     EXPECT_EQ(traces[0], traces[1]);

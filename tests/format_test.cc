@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/random.h"
 #include "format/chunk_codec.h"
 #include "format/column.h"
@@ -115,6 +117,13 @@ struct ChunkCase {
     int64_t cardinality; // for int columns
     bool enableDict;
 };
+
+/** Test listings show the case name, not the struct's raw bytes. */
+void
+PrintTo(const ChunkCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class ChunkRoundTrip : public ::testing::TestWithParam<ChunkCase>
 {

@@ -6,7 +6,7 @@
  * kernels — must be bit-identical to their simple reference
  * implementations on every input, including unaligned lengths, zero
  * coefficients, NaN doubles, and empty columns. The thread pool must
- * leave all simulated-time query results and FaultStats unchanged for
+ * leave all simulated-time query results and fault.* counters unchanged for
  * any FUSION_THREADS value.
  */
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "ec/reed_solomon.h"
+#include "fault_counters.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "sim/fault.h"
@@ -348,7 +349,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock)
 
 struct DeterminismRun {
     std::vector<query::QueryResult> results;
-    store::ObjectStore::FaultStats faults;
+    obs::MetricsSnapshot faults; // the store's fault.* counters
     double simSeconds = 0.0;
 };
 
@@ -402,14 +403,14 @@ runWorkload(size_t threads)
         FUSION_CHECK(outcome->isOk());
         run.results.push_back(outcome->value().result);
     }
-    run.faults = store.faultStats();
+    run.faults = testutil::faultCounters(store);
     run.simSeconds = engine.now();
     ThreadPool::setSharedThreads(1);
     return run;
 }
 
 // Acceptance: repeated runs with FUSION_THREADS > 1 leave all
-// simulated-time query results and FaultStats counters bit-identical
+// simulated-time query results and fault.* counters bit-identical
 // to the single-threaded run.
 TEST(ThreadPoolTest, MultiThreadedStoreRunIsBitIdenticalToSerial)
 {

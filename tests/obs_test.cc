@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "common/walltime.h"
 #include "common/thread_pool.h"
+#include "fault_counters.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
@@ -694,7 +695,9 @@ struct ObsRun {
     std::string metricsJson;
     std::string explainJson; // all queries' reports concatenated
     std::string timeseriesJson;
-    store::ObjectStore::FaultStats faults;
+    uint64_t readRetries = 0;  // fault.read_retries
+    uint64_t readTimeouts = 0; // fault.read_timeouts
+    obs::MetricsSnapshot faults; // every fault.* counter
 };
 
 ObsRun
@@ -768,7 +771,9 @@ runObservedWorkload(size_t threads, uint64_t cache_bytes = 0)
     run.traceJson = store.obs().tracer.toChromeJson("fusion");
     run.metricsJson = store.obs().metrics.snapshot().toJson();
     run.timeseriesJson = store.obs().telemetry.toJson(engine.now());
-    run.faults = store.faultStats();
+    run.readRetries = testutil::faultCount(store, "read_retries");
+    run.readTimeouts = testutil::faultCount(store, "read_timeouts");
+    run.faults = testutil::faultCounters(store);
     ThreadPool::setSharedThreads(1);
     return run;
 }
@@ -788,7 +793,7 @@ TEST(ObsDeterminismTest, TraceMetricsExplainIdenticalAcrossThreadCounts)
               std::string::npos);
     EXPECT_NE(serial.traceJson.find("\"projection_stage\""),
               std::string::npos);
-    EXPECT_GT(serial.faults.readRetries, 0u);
+    EXPECT_GT(serial.readRetries, 0u);
     EXPECT_NE(serial.metricsJson.find("fault.read_retries"),
               std::string::npos);
     EXPECT_NE(serial.metricsJson.find("query.latency_seconds"),
@@ -821,8 +826,8 @@ TEST(ObsDeterminismTest, TraceMetricsExplainIdenticalAcrossThreadCounts)
     // The adaptive budget fails over instead of burning the full
     // fixed budget on every read to the crashed node: retries stay
     // well under the old maxReadRetries * timeouts product.
-    EXPECT_LT(serial.faults.readRetries,
-              3 * serial.faults.readTimeouts);
+    EXPECT_LT(serial.readRetries,
+              3 * serial.readTimeouts);
 
     // A dump written through the exporter is the same bytes.
     std::string path = ::testing::TempDir() + "obs_test_trace.json";
@@ -861,7 +866,7 @@ TEST(ObsDeterminismTest, CacheEnabledRunIdenticalAcrossThreadCounts)
               std::string::npos);
     EXPECT_NE(serial.metricsJson.find("cache.chunk.bytes"),
               std::string::npos);
-    EXPECT_GT(serial.faults.readRetries, 0u);
+    EXPECT_GT(serial.readRetries, 0u);
     EXPECT_TRUE(jsonBalanced(serial.traceJson));
     EXPECT_TRUE(jsonBalanced(serial.metricsJson));
 

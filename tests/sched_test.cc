@@ -345,22 +345,6 @@ TEST(SchedTest, OversubscribedNodeShedsLoad)
         rig.store->obs().metrics.counter("sched.load_sheds").value(), 0u);
 }
 
-TEST(SchedTest, DedupDisabledIssuesEveryTask)
-{
-    Rig rig = makeRig();
-    auto batch = overlappingBatch(rig, 4, 1.0);
-    sched::SchedOptions options;
-    options.dedupFetches = false;
-    options.mergePushdowns = false;
-    sched::SharedScanScheduler scheduler(*rig.store, options);
-    auto outcomes = scheduler.runBatch(batch);
-    ASSERT_TRUE(outcomes.isOk());
-    const sched::BatchStats &stats = scheduler.lastBatchStats();
-    EXPECT_EQ(stats.tasksIssued, stats.tasksPlanned);
-    EXPECT_EQ(stats.sharedFetches, 0u);
-    EXPECT_EQ(stats.mergedPushdowns, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Interaction with the coordinator hot-chunk cache: batches against a
 // warm, cold or mixed cache stay bit-identical to isolated execution,
@@ -630,6 +614,27 @@ TEST(AsyncHandleTest, SubmitAwaitMatchesIsolatedExecution)
     }
     EXPECT_EQ(harvested, batch.size());
     EXPECT_EQ(scheduler.inFlight(), 0u);
+
+    // A window of one is store.query(): both run the store's one stage
+    // DAG, so every simulated figure matches exactly.
+    Rig alone_rig = makeRig();
+    Rig query_rig = makeRig();
+    sched::SharedScanScheduler alone(*alone_rig.store);
+    for (size_t i = 0; i < batch.size(); ++i) {
+        alone.submit(batch[i], i);
+        sched::QueryHandle *h = alone.awaitAny();
+        ASSERT_NE(h, nullptr);
+        ASSERT_TRUE(h->status().isOk());
+        auto solo = query_rig.store->query(batch[i]);
+        ASSERT_TRUE(solo.isOk());
+        const store::QueryOutcome &a = h->outcome();
+        const store::QueryOutcome &b = solo.value();
+        EXPECT_EQ(a.latencySeconds, b.latencySeconds) << "query " << i;
+        EXPECT_EQ(a.cpuSeconds, b.cpuSeconds) << "query " << i;
+        EXPECT_EQ(a.diskSeconds, b.diskSeconds) << "query " << i;
+        EXPECT_EQ(a.networkSeconds, b.networkSeconds) << "query " << i;
+        EXPECT_EQ(a.networkBytes, b.networkBytes) << "query " << i;
+    }
 }
 
 TEST(AsyncHandleTest, IdleAwaitAndFailedSubmit)

@@ -14,6 +14,7 @@
 #include <optional>
 
 #include "common/thread_pool.h"
+#include "fault_counters.h"
 #include "query/parser.h"
 #include "sim/fault.h"
 #include "store/baseline_store.h"
@@ -22,6 +23,9 @@
 
 namespace fusion::store {
 namespace {
+
+using testutil::faultBackoffSeconds;
+using testutil::faultCount;
 
 struct TestRig {
     std::unique_ptr<sim::Cluster> cluster;
@@ -122,11 +126,10 @@ TEST(RecoveryTest, SingleNodeCrashReconstructsEveryChunkBitExact)
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(back.value(), object);
 
-    const ObjectStore::FaultStats &stats = rig.store->faultStats();
-    EXPECT_GE(stats.parityReconstructions, 1u);
-    EXPECT_GE(stats.degradedChunkReads, 1u);
-    EXPECT_GE(stats.readTimeouts, 1u);
-    EXPECT_GT(stats.backoffSeconds, 0.0);
+    EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u);
+    EXPECT_GE(faultCount(*rig.store, "degraded_chunk_reads"), 1u);
+    EXPECT_GE(faultCount(*rig.store, "read_timeouts"), 1u);
+    EXPECT_GT(faultBackoffSeconds(*rig.store), 0.0);
 }
 
 // Acceptance: downing ANY single data node mid-workload keeps all
@@ -170,9 +173,10 @@ TEST(RecoveryTest, AnySingleNodeCrashMidQueryKeepsResultsIdentical)
             expectSameResults(outcomes[i].value().result,
                               expected[i].value().result);
         }
-        const ObjectStore::FaultStats &stats = rig.store->faultStats();
-        EXPECT_GE(stats.parityReconstructions, 1u) << "victim " << victim;
-        EXPECT_GE(stats.pushdownFallbacks, 1u) << "victim " << victim;
+        EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u)
+            << "victim " << victim;
+        EXPECT_GE(faultCount(*rig.store, "pushdown_fallbacks"), 1u)
+            << "victim " << victim;
     }
 }
 
@@ -209,7 +213,7 @@ TEST(RecoveryTest, NMinusKSimultaneousFailuresStillAnswerQueries)
         expectSameResults(degraded.value().result,
                           reference.value().result);
     }
-    EXPECT_GE(rig.store->faultStats().parityReconstructions, 1u);
+    EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u);
 }
 
 TEST(RecoveryTest, BeyondToleranceFailsWithCleanStatus)
@@ -256,20 +260,19 @@ TEST(RecoveryTest, RetryBackoffIsBoundedAndCounted)
     rig.store->dropCaches();
     ASSERT_TRUE(rig.store->get("lineitem").isOk());
 
-    const ObjectStore::FaultStats &stats = rig.store->faultStats();
-    ASSERT_GE(stats.readTimeouts, 1u);
+    const uint64_t timeouts = faultCount(*rig.store, "read_timeouts");
+    ASSERT_GE(timeouts, 1u);
     // Health-adaptive budget: the first timed-out read burns the full
     // configured budget; every later read against the now-dead node
     // fails fast with a single probe retry (obs::NodeHealthTracker
     // bands the node "dead" once a timeout streak is open with no flap
     // evidence), falling over to parity reconstruction early.
-    EXPECT_EQ(stats.readRetries,
-              options.maxReadRetries + (stats.readTimeouts - 1));
+    EXPECT_EQ(faultCount(*rig.store, "read_retries"),
+              options.maxReadRetries + (timeouts - 1));
     // Bounded exponential backoff: 1 + 2 + 2 + 2 ms for the first
     // timed-out read, then the 1 ms probe per fail-fast read.
-    EXPECT_NEAR(stats.backoffSeconds,
-                7e-3 + 1e-3 * static_cast<double>(stats.readTimeouts - 1),
-                1e-9);
+    EXPECT_NEAR(faultBackoffSeconds(*rig.store),
+                7e-3 + 1e-3 * static_cast<double>(timeouts - 1), 1e-9);
 }
 
 TEST(RecoveryTest, FlappingNodeRecoversDuringBackoffWithoutRebuild)
@@ -291,12 +294,11 @@ TEST(RecoveryTest, FlappingNodeRecoversDuringBackoffWithoutRebuild)
         {{0.001, sql("SELECT * FROM lineitem WHERE l_quantity < 30")}});
     ASSERT_TRUE(outcomes[0].isOk()) << outcomes[0].status().toString();
 
-    const ObjectStore::FaultStats &stats = rig.store->faultStats();
-    EXPECT_GE(stats.readRetries, 1u);
+    EXPECT_GE(faultCount(*rig.store, "read_retries"), 1u);
     // The retry found the node alive again: no block was declared
     // lost, so nothing was rebuilt from parity.
-    EXPECT_EQ(stats.readTimeouts, 0u);
-    EXPECT_EQ(stats.parityReconstructions, 0u);
+    EXPECT_EQ(faultCount(*rig.store, "read_timeouts"), 0u);
+    EXPECT_EQ(faultCount(*rig.store, "parity_reconstructions"), 0u);
 }
 
 TEST(RecoveryTest, GrayFailureTriggersPushdownFallback)
@@ -320,8 +322,8 @@ TEST(RecoveryTest, GrayFailureTriggersPushdownFallback)
     expectSameResults(slow.value().result, reference.value().result);
 
     EXPECT_GE(slow.value().pushdownFallbacks, 1u);
-    EXPECT_GE(rig.store->faultStats().pushdownFallbacks, 1u);
-    EXPECT_GE(rig.store->faultStats().parityReconstructions, 1u);
+    EXPECT_GE(faultCount(*rig.store, "pushdown_fallbacks"), 1u);
+    EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u);
 
     // Restored node serves pushdowns again (fresh plan, no fallback).
     rig.cluster->node(6).setSlowFactor(1.0);
@@ -352,7 +354,7 @@ TEST(RecoveryTest, BaselineStoreSurvivesFaultsToo)
     ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
     ASSERT_TRUE(reference.isOk());
     expectSameResults(degraded.value().result, reference.value().result);
-    EXPECT_GE(rig.store->faultStats().parityReconstructions, 1u);
+    EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -390,7 +392,7 @@ TEST(RecoveryCacheTest, DegradedReadsInvalidateCachedChunks)
     auto degraded = rig.store->querySql(
         "SELECT l_quantity FROM lineitem WHERE l_quantity < 40");
     ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
-    EXPECT_GE(rig.store->faultStats().parityReconstructions, 1u);
+    EXPECT_GE(faultCount(*rig.store, "parity_reconstructions"), 1u);
 
     // No surviving entry may involve the dead node — every cached
     // chunk that did was touched by a degraded read and dropped.
@@ -479,7 +481,7 @@ TEST(RecoveryCacheTest, CrashReviveScheduleMatchesCacheOffReference)
                           plain[i].value().result);
     }
     // The schedule actually bit, and the cache actually served.
-    EXPECT_GE(cached_rig.store->faultStats().degradedChunkReads, 1u);
+    EXPECT_GE(faultCount(*cached_rig.store, "degraded_chunk_reads"), 1u);
     EXPECT_GT(cached_rig.store->chunkCache().hits(), 0u);
 }
 
@@ -547,7 +549,7 @@ runCrashMidCompaction(size_t threads)
     run.runs = rig.store->compactor().runs();
     run.aborts = rig.store->compactor().aborts();
     run.parityReconstructions =
-        rig.store->faultStats().parityReconstructions;
+        faultCount(*rig.store, "parity_reconstructions");
     run.metricsJson = rig.store->obs().metrics.snapshot().toJson();
     ThreadPool::setSharedThreads(1);
     return run;
@@ -611,7 +613,7 @@ TEST(RecoveryTest, RepairAfterMediaLossCountsReconstructions)
     auto rebuilt = rig.store->repairNode(victim);
     ASSERT_TRUE(rebuilt.isOk()) << rebuilt.status().toString();
     EXPECT_GT(rebuilt.value(), 0u);
-    EXPECT_EQ(rig.store->faultStats().parityReconstructions,
+    EXPECT_EQ(faultCount(*rig.store, "parity_reconstructions"),
               rebuilt.value());
 
     rig.store->dropCaches();
