@@ -105,8 +105,9 @@ class Tracer
     class Scoped
     {
       public:
-        Scoped(Tracer &tracer, const char *name)
-            : tracer_(tracer), id_(tracer.beginSpan(name))
+        Scoped(Tracer &tracer, const char *name,
+               std::string args = std::string())
+            : tracer_(tracer), id_(tracer.beginSpan(name, std::move(args)))
         {
         }
         ~Scoped() { tracer_.endSpan(id_); }

@@ -86,8 +86,8 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
                     ++plan.outcome.projectionCachedLocal;
                 continue;
             }
-            appendChunkFetchTasks(manifest, chunk_id, plan.coordinatorId,
-                                  coord_work, plan.filterTasks);
+            appendChunkFetchTasks(manifest, chunk_id, coord_work,
+                                  plan.filterTasks);
             cacheAdmitChunk(manifest, chunk_id);
             if (is_filter_col)
                 ++plan.outcome.filterChunkFetches;

@@ -140,7 +140,6 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                     ins_.pushdownFallbacks->add(1);
                 }
                 appendChunkFetchTasks(manifest, chunk_id,
-                                      plan.coordinatorId,
                                       chunkDecodeWork(chunk),
                                       plan.filterTasks);
                 ++plan.outcome.filterChunkFetches;
@@ -222,7 +221,6 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                     record("fetch", "chunk split across nodes");
                 }
                 appendChunkFetchTasks(manifest, chunk_id,
-                                      plan.coordinatorId,
                                       chunkDecodeWork(chunk),
                                       plan.projectionTasks);
                 ++plan.outcome.projectionFetches;

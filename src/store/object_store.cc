@@ -26,6 +26,20 @@ makeCode(size_t n, size_t k)
     return std::move(rs.value());
 }
 
+/** Per stripe, the byte range [lo, hi) covering lost pieces of a chunk. */
+using LostRanges = std::map<size_t, std::pair<uint64_t, uint64_t>>;
+
+void
+coverLostPiece(LostRanges &ranges, const PieceLocation &piece)
+{
+    const uint64_t lo = piece.blockOffset, hi = lo + piece.size;
+    auto [it, fresh] = ranges.try_emplace(piece.stripe, lo, hi);
+    if (!fresh) {
+        it->second.first = std::min(it->second.first, lo);
+        it->second.second = std::max(it->second.second, hi);
+    }
+}
+
 } // namespace
 
 ObjectStore::ObjectStore(sim::Cluster &cluster, const StoreOptions &options)
@@ -45,6 +59,7 @@ ObjectStore::ObjectStore(sim::Cluster &cluster, const StoreOptions &options)
     ins_.readTimeouts = &reg.counter("fault.read_timeouts");
     ins_.parityReconstructions =
         &reg.counter("fault.parity_reconstructions");
+    ins_.rebuildReadBytes = &reg.counter("fault.rebuild_read_bytes");
     ins_.degradedChunkReads = &reg.counter("fault.degraded_chunk_reads");
     ins_.pushdownFallbacks = &reg.counter("fault.pushdown_fallbacks");
     ins_.backoffSeconds = &reg.doubleCounter("fault.backoff_seconds");
@@ -1122,54 +1137,71 @@ ObjectStore::onFaultEvent(double seconds, int kind, size_t node,
         dumpFlightRecord(seconds, "node_crash");
 }
 
-Result<Bytes>
-ObjectStore::recoverBlock(const ObjectManifest &manifest, size_t stripe,
-                          size_t block_index)
+std::vector<ObjectStore::RebuildRead>
+ObjectStore::rebuildReads(const ObjectManifest &manifest, size_t stripe,
+                          uint64_t offset, uint64_t size) const
 {
-    const fac::StripeLayout &layout_stripe = manifest.layout.stripes[stripe];
-    const uint64_t block_size = layout_stripe.blockSize();
-    const size_t k = options_.k, n = options_.n;
-
-    auto true_size = [&](size_t b) -> uint64_t {
-        if (b >= k)
-            return block_size;
-        if (b >= layout_stripe.dataBlocks.size())
-            return 0;
-        return layout_stripe.dataBlocks[b].size();
-    };
-
-    std::vector<std::optional<Bytes>> shards(n);
-    size_t survivors = 0;
-    for (size_t b = 0; b < n; ++b) {
-        if (true_size(b) == 0) {
-            shards[b] = Bytes(block_size, 0); // implicit zero block
-            ++survivors;
-            continue;
+    const fac::StripeLayout &ls = manifest.layout.stripes[stripe];
+    std::vector<RebuildRead> reads;
+    for (size_t b = 0; b < options_.n && reads.size() < options_.k; ++b) {
+        // Data blocks are stored at their true size and parity at the
+        // stripe block size; past a block's end its bytes are zero.
+        const uint64_t true_size =
+            b >= options_.k ? ls.blockSize()
+            : b < ls.dataBlocks.size() ? ls.dataBlocks[b].size()
+                                       : 0;
+        RebuildRead read{b, manifest.stripeNodes[stripe][b],
+                         std::min(offset, true_size),
+                         std::min(offset + size, true_size)};
+        if (read.lo < read.hi) {
+            const sim::StorageNode &node = cluster_.node(read.nodeId);
+            if (!nodeResponsive(node) ||
+                node.findBlock(manifest.blockKey(stripe, b)) == nullptr)
+                continue;
         }
-        const sim::StorageNode &node =
-            cluster_.node(manifest.stripeNodes[stripe][b]);
-        if (!nodeResponsive(node))
-            continue;
-        const Bytes *block = node.findBlock(manifest.blockKey(stripe, b));
-        if (!block)
-            continue;
-        Bytes padded = *block;
-        padded.resize(block_size, 0);
-        shards[b] = std::move(padded);
-        ++survivors;
+        reads.push_back(read);
     }
-    if (!rs_.recoverable(survivors))
+    return reads;
+}
+
+Result<std::vector<Bytes>>
+ObjectStore::rebuildRange(const ObjectManifest &manifest, size_t stripe,
+                          uint64_t offset, uint64_t size)
+{
+    const std::vector<RebuildRead> reads =
+        rebuildReads(manifest, stripe, offset, size);
+    if (!rs_.recoverable(reads.size()))
         return Status::unavailable(
-            "cannot rebuild block " + std::to_string(block_index) +
-            " of stripe " + std::to_string(stripe) + " of '" +
-            manifest.name + "': " + std::to_string(survivors) + " of " +
-            std::to_string(n) + " shards reachable, need " +
-            std::to_string(k));
-    obs::Tracer::Scoped span(obs_.tracer, "reconstruct");
-    FUSION_RETURN_IF_ERROR(rs_.reconstruct(shards, block_size));
+            "cannot rebuild bytes [" + std::to_string(offset) + ", " +
+            std::to_string(offset + size) + ") of stripe " +
+            std::to_string(stripe) + " of '" + manifest.name + "': " +
+            std::to_string(reads.size()) + " of " +
+            std::to_string(options_.n) + " shards reachable, need " +
+            std::to_string(options_.k));
+
+    std::vector<std::optional<Bytes>> shards(options_.n);
+    uint64_t read_bytes = 0;
+    for (const RebuildRead &read : reads) {
+        Bytes &shard = shards[read.block].emplace(size, 0);
+        if (read.lo == read.hi)
+            continue; // known zero
+        const Bytes *block = cluster_.node(read.nodeId)
+                                 .findBlock(manifest.blockKey(stripe,
+                                                              read.block));
+        FUSION_CHECK(block != nullptr && read.hi <= block->size());
+        std::copy(block->begin() + read.lo, block->begin() + read.hi,
+                  shard.begin());
+        read_bytes += read.hi - read.lo;
+    }
+    obs::Tracer::Scoped span(obs_.tracer, "reconstruct",
+                             "\"range_bytes\": " + std::to_string(size));
+    FUSION_RETURN_IF_ERROR(rs_.reconstruct(shards, size));
     ins_.parityReconstructions->add(1);
-    Bytes out = std::move(*shards[block_index]);
-    out.resize(true_size(block_index));
+    ins_.rebuildReadBytes->add(read_bytes);
+    std::vector<Bytes> out;
+    out.reserve(shards.size());
+    for (auto &shard : shards)
+        out.push_back(std::move(*shard));
     return out;
 }
 
@@ -1179,47 +1211,57 @@ ObjectStore::readChunkBytes(const ObjectManifest &manifest,
 {
     const fac::ChunkExtent &extent = manifest.extents.at(chunk_id);
     Bytes out(extent.size);
-    bool degraded = false;
+    std::vector<const PieceLocation *> lost;
+    LostRanges ranges;
     for (const auto &piece : manifest.chunkPieces.at(chunk_id)) {
         const Bytes *block =
             fetchBlockWithRetry(manifest, piece.stripe, piece.blockIndex);
-        if (block) {
-            FUSION_CHECK(piece.blockOffset + piece.size <= block->size());
-            std::copy(block->begin() + piece.blockOffset,
-                      block->begin() + piece.blockOffset + piece.size,
-                      out.begin() + piece.chunkOffset);
-        } else {
-            degraded = true;
-            auto recovered =
-                recoverBlock(manifest, piece.stripe, piece.blockIndex);
-            if (!recovered.isOk())
-                return recovered.status();
-            FUSION_CHECK(piece.blockOffset + piece.size <=
-                         recovered.value().size());
-            std::copy(recovered.value().begin() + piece.blockOffset,
-                      recovered.value().begin() + piece.blockOffset +
-                          piece.size,
-                      out.begin() + piece.chunkOffset);
+        if (!block) {
+            lost.push_back(&piece);
+            coverLostPiece(ranges, piece);
+            continue;
+        }
+        FUSION_CHECK(piece.blockOffset + piece.size <= block->size());
+        std::copy(block->begin() + piece.blockOffset,
+                  block->begin() + piece.blockOffset + piece.size,
+                  out.begin() + piece.chunkOffset);
+    }
+    if (lost.empty())
+        return out;
+
+    // Degraded read: one range rebuild per stripe serves every lost
+    // piece in it.
+    for (const auto &[stripe, range] : ranges) {
+        auto shards = rebuildRange(manifest, stripe, range.first,
+                                   range.second - range.first);
+        if (!shards.isOk())
+            return shards.status();
+        for (const PieceLocation *piece : lost) {
+            if (piece->stripe != stripe)
+                continue;
+            auto from = shards.value()[piece->blockIndex].begin() +
+                        (piece->blockOffset - range.first);
+            std::copy(from, from + piece->size,
+                      out.begin() + piece->chunkOffset);
         }
     }
-    if (degraded) {
-        ins_.degradedChunkReads->add(1);
-        // A degraded read means this chunk's canonical placement is
-        // suspect; any cached copy could go stale once repair rewrites
-        // blocks, so the cache never serves a chunk touched by
-        // reconstruction.
-        chunkCache_.invalidate(manifest.name, chunk_id);
-        obs_.tracer.instant(
-            "degraded_read",
-            "\"chunk\": " + std::to_string(chunk_id) + ", \"object\": \"" +
-                manifest.name + "\"");
-        const double now = cluster_.engine().now();
-        obs_.telemetry.flight().record(
-            now, "degraded_read",
-            "\"chunk\": " + std::to_string(chunk_id) +
-                ", \"object\": \"" + manifest.name + "\"");
-        dumpFlightRecord(now, "degraded_read");
-    }
+
+    ins_.degradedChunkReads->add(1);
+    // A degraded read means this chunk's canonical placement is
+    // suspect; any cached copy could go stale once repair rewrites
+    // blocks, so the cache never serves a chunk touched by
+    // reconstruction.
+    chunkCache_.invalidate(manifest.name, chunk_id);
+    obs_.tracer.instant(
+        "degraded_read",
+        "\"chunk\": " + std::to_string(chunk_id) + ", \"object\": \"" +
+            manifest.name + "\"");
+    const double now = cluster_.engine().now();
+    obs_.telemetry.flight().record(
+        now, "degraded_read",
+        "\"chunk\": " + std::to_string(chunk_id) + ", \"object\": \"" +
+            manifest.name + "\"");
+    dumpFlightRecord(now, "degraded_read");
     return out;
 }
 
@@ -1298,12 +1340,15 @@ ObjectStore::repairNode(size_t node_id)
             if (node.findBlock(manifest.blockKey(ref.stripe,
                                                  ref.blockIndex)))
                 continue; // still intact
-            auto block = recoverBlock(manifest, ref.stripe,
-                                      ref.blockIndex);
-            if (!block.isOk())
-                return block.status();
+            auto shards = rebuildRange(
+                manifest, ref.stripe, 0,
+                manifest.layout.stripes[ref.stripe].blockSize());
+            if (!shards.isOk())
+                return shards.status();
+            Bytes block = std::move(shards.value()[ref.blockIndex]);
+            block.resize(ref.size);
             node.putBlock(manifest.blockKey(ref.stripe, ref.blockIndex),
-                          std::move(block.value()));
+                          std::move(block));
             ++rebuilt;
         }
     }
@@ -1761,19 +1806,18 @@ ObjectStore::admitChunkToCache(const std::string &object, uint32_t chunk_id)
 
 uint64_t
 ObjectStore::appendChunkFetchTasks(const ObjectManifest &manifest,
-                                   uint32_t chunk_id, size_t coordinator,
-                                   double coord_cpu_work,
+                                   uint32_t chunk_id, double coord_cpu_work,
                                    std::vector<SimTask> &tasks)
 {
     uint64_t total = 0;
-    size_t first_new = tasks.size();
-    std::set<std::pair<size_t, size_t>> degraded_stripes;
+    const size_t first_new = tasks.size();
+    LostRanges lost;
     obs_.telemetry.heat().recordAccess(cluster_.engine().now(),
                                        manifest.shareName(), chunk_id);
 
     // Share keys: any query fetching the same healthy piece (or the
-    // same surviving stripe block during a degraded read) moves the
-    // same bytes, so the batch scheduler can issue it once. The
+    // same survivor range during a degraded read) moves the same
+    // bytes, so the batch scheduler can issue it once. The
     // generation-qualified name keeps in-flight shares planned against
     // a superseded generation from aliasing the new one.
     const std::string key_base = "fetch|" + manifest.shareName() + "|" +
@@ -1790,45 +1834,37 @@ ObjectStore::appendChunkFetchTasks(const ObjectManifest &manifest,
             tasks.push_back(std::move(task));
             total += piece.size;
         } else {
-            degraded_stripes.insert({piece.stripe, piece.blockIndex});
+            coverLostPiece(lost, piece);
         }
     }
 
-    // Degraded read: pull k surviving blocks of each affected stripe and
-    // decode the erasure code at the coordinator.
-    for (const auto &[stripe, block] : degraded_stripes) {
-        (void)block;
-        const fac::StripeLayout &ls = manifest.layout.stripes[stripe];
-        size_t fetched = 0;
-        for (size_t b = 0; b < options_.n && fetched < options_.k; ++b) {
-            size_t node_id = manifest.stripeNodes[stripe][b];
-            if (!nodeResponsive(cluster_.node(node_id)))
-                continue;
-            uint64_t size = (b < options_.k)
-                                ? (b < ls.dataBlocks.size()
-                                       ? ls.dataBlocks[b].size()
-                                       : 0)
-                                : ls.blockSize();
-            SimTask task{node_id, options_.requestRpcBytes, size, 0.0,
+    // Degraded read: pull the lost range of each affected stripe from
+    // k survivors and decode it at the coordinator (rebuildRange).
+    for (const auto &[stripe, range] : lost) {
+        const auto [lo, hi] = range;
+        for (const RebuildRead &read :
+             rebuildReads(manifest, stripe, lo, hi - lo)) {
+            if (read.lo == read.hi)
+                continue; // known zero: no I/O
+            const uint64_t size = read.hi - read.lo;
+            SimTask task{read.nodeId, options_.requestRpcBytes, size, 0.0,
                          size, 0.0};
+            // The range keeps two lost chunks of one stripe apart.
             task.shareKey = "stripe|" + manifest.shareName() + "|" +
                             std::to_string(stripe) + "|" +
-                            std::to_string(b);
+                            std::to_string(read.block) + "|" +
+                            std::to_string(read.lo) + "-" +
+                            std::to_string(read.hi);
             task.chunkId = chunk_id;
             tasks.push_back(std::move(task));
             total += size;
-            ++fetched;
         }
-        // EC decode cost: k blocks combined per recovered block.
-        coord_cpu_work +=
-            static_cast<double>(ls.blockSize()) * options_.k;
+        // EC decode cost: k survivor ranges combined per rebuild.
+        coord_cpu_work += static_cast<double>(hi - lo) * options_.k;
     }
 
     if (tasks.size() > first_new)
         tasks.back().coordCpuWork += coord_cpu_work;
-    else if (coord_cpu_work > 0 && !tasks.empty())
-        tasks.back().coordCpuWork += coord_cpu_work;
-    (void)coordinator;
     return total;
 }
 

@@ -131,7 +131,7 @@ struct QueryOutcome {
     /** Pushdowns rerouted to coordinator-side evaluation because the
      *  chunk's node was faulted when the query was planned. */
     size_t pushdownFallbacks = 0;
-    /** Blocks this query rebuilt from parity (degraded reads). */
+    /** Parity range rebuilds this query ran (degraded reads). */
     uint64_t parityReconstructions = 0;
     /** Timed-out block-read attempts this query retried. */
     uint64_t readRetries = 0;
@@ -268,7 +268,8 @@ class ObjectStore : public lifecycle::CompactionHost
      * obs::MetricsRegistry::global() instead. The robustness counters
      * benches and tests assert on are the cumulative fault.* entries:
      * read_retries, read_timeouts, parity_reconstructions,
-     * degraded_chunk_reads, pushdown_fallbacks and backoff_seconds.
+     * rebuild_read_bytes, degraded_chunk_reads, pushdown_fallbacks and
+     * backoff_seconds.
      */
     obs::Observability &obs() { return obs_; }
     const obs::Observability &obs() const { return obs_; }
@@ -598,12 +599,14 @@ class ObjectStore : public lifecycle::CompactionHost
 
     /**
      * Appends fetch tasks that pull a chunk's raw bytes to the
-     * coordinator (one task per remote piece; degraded chunks fetch
-     * k surviving stripe blocks instead). Returns total fetched bytes.
+     * coordinator: one task per piece on a responsive node, and for
+     * each stripe holding lost pieces one range read per survivor that
+     * rebuildReads picks (known-zero ranges issue no task). The last
+     * task carries `coord_cpu_work` plus the EC decode of k x range
+     * bytes per degraded stripe. Returns total fetched bytes.
      */
     uint64_t appendChunkFetchTasks(const ObjectManifest &manifest,
-                                   uint32_t chunk_id, size_t coordinator,
-                                   double coord_cpu_work,
+                                   uint32_t chunk_id, double coord_cpu_work,
                                    std::vector<SimTask> &tasks);
 
     // ---- coordinator hot-chunk cache (cache/chunk_cache.h) ----
@@ -643,6 +646,7 @@ class ObjectStore : public lifecycle::CompactionHost
         obs::Counter *readRetries = nullptr;
         obs::Counter *readTimeouts = nullptr;
         obs::Counter *parityReconstructions = nullptr;
+        obs::Counter *rebuildReadBytes = nullptr;
         obs::Counter *degradedChunkReads = nullptr;
         obs::Counter *pushdownFallbacks = nullptr;
         obs::DoubleCounter *backoffSeconds = nullptr;
@@ -689,8 +693,39 @@ class ObjectStore : public lifecycle::CompactionHost
     cache::ChunkCache chunkCache_;
 
   private:
-    Result<Bytes> recoverBlock(const ObjectManifest &manifest,
-                               size_t stripe, size_t block_index);
+    /**
+     * One survivor read of a range rebuild: bytes [lo, hi) of block
+     * `block` of the stripe, clipped to the block's true size. lo == hi
+     * means the range lies past the block's end: it is known zero and
+     * needs no I/O, so its node is never contacted.
+     */
+    struct RebuildRead {
+        size_t block = 0;
+        size_t nodeId = 0;
+        uint64_t lo = 0;
+        uint64_t hi = 0;
+    };
+
+    /**
+     * The first k survivors, in block order, that a rebuild of bytes
+     * [offset, offset + size) of `stripe` reads: known-zero ranges and
+     * blocks on responsive nodes that still hold them. Fewer than k
+     * entries means the range cannot be rebuilt. The simulated plan and
+     * the host rebuild both read exactly these survivors.
+     */
+    std::vector<RebuildRead> rebuildReads(const ObjectManifest &manifest,
+                                          size_t stripe, uint64_t offset,
+                                          uint64_t size) const;
+    /**
+     * Range rebuild: reconstructs bytes [offset, offset + size) of every
+     * block of `stripe` from the rebuildReads survivors, each sliced to
+     * the range and zero-extended past its true size. Systematic RS is
+     * linear at each byte position, so a range needs only the same
+     * range of k survivors. Entry b of the result is block b's range.
+     */
+    Result<std::vector<Bytes>> rebuildRange(const ObjectManifest &manifest,
+                                            size_t stripe, uint64_t offset,
+                                            uint64_t size);
     /** Accounts one query's client request/reply exchange. */
     void accountClientExchange(uint64_t reply_bytes,
                                QueryOutcome &out) const;

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/random.h"
 #include "ec/gf256.h"
@@ -388,6 +390,76 @@ TEST(ReedSolomonTest, RandomVariableSizeStripesSweep)
         for (size_t i = 0; i < 6; ++i)
             ASSERT_EQ(recovered.value()[i], data[i]);
     }
+}
+
+// Systematic RS is linear at each byte position, so bytes [offset,
+// offset + size) of a lost block rebuild from the same range of k
+// survivors. Each survivor is sliced to the range and zero-extended
+// past its true size, the way the store's range rebuild reads it.
+TEST(ReedSolomonTest, RangeReconstructEqualsSliceOfFullReconstruct)
+{
+    auto rs = ReedSolomon::create(9, 6).value();
+    Rng rng(4099);
+    size_t past_short_end = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        std::vector<Bytes> data(6);
+        for (auto &block : data) {
+            block.resize(rng.uniformInt(0, 2048));
+            for (auto &b : block)
+                b = static_cast<uint8_t>(rng.next());
+        }
+        auto stripe = encodeStripe(rs, data);
+        ASSERT_TRUE(stripe.isOk());
+        const uint64_t block_size = stripe.value().blockSize;
+        auto true_size = [&](size_t b) -> uint64_t {
+            return b < 6 ? data[b].size() : block_size;
+        };
+
+        std::vector<size_t> ids(9);
+        std::iota(ids.begin(), ids.end(), 0);
+        rng.shuffle(ids);
+        const size_t lost = static_cast<size_t>(rng.uniformInt(1, 3));
+
+        std::vector<std::optional<Bytes>> full(9);
+        for (size_t b = 0; b < 9; ++b) {
+            full[b] = stripe.value().blocks[b];
+            full[b]->resize(block_size, 0);
+        }
+        for (size_t e = 0; e < lost; ++e)
+            full[ids[e]] = std::nullopt;
+        std::vector<std::optional<Bytes>> range_shards = full;
+        ASSERT_TRUE(rs.reconstruct(full, block_size).isOk());
+
+        for (int r = 0; r < 8; ++r) {
+            const uint64_t offset = rng.uniformInt(0, block_size);
+            const uint64_t size = rng.uniformInt(0, block_size - offset);
+            std::vector<std::optional<Bytes>> shards(9);
+            for (size_t b = 0; b < 9; ++b) {
+                if (!range_shards[b].has_value())
+                    continue;
+                // Slice the stored (unpadded) block, then zero-extend.
+                const Bytes &stored = stripe.value().blocks[b];
+                const uint64_t hi = std::min<uint64_t>(offset + size,
+                                                       stored.size());
+                Bytes slice(size, 0);
+                if (offset < hi)
+                    std::copy(stored.begin() + offset, stored.begin() + hi,
+                              slice.begin());
+                past_short_end += offset + size > true_size(b) ? 1 : 0;
+                shards[b] = std::move(slice);
+            }
+            ASSERT_TRUE(rs.reconstruct(shards, size).isOk());
+            for (size_t b = 0; b < 9; ++b) {
+                Bytes expected(full[b]->begin() + offset,
+                               full[b]->begin() + offset + size);
+                ASSERT_EQ(*shards[b], expected)
+                    << "trial " << trial << " block " << b << " range ["
+                    << offset << ", " << offset + size << ")";
+            }
+        }
+    }
+    // The sweep must exercise survivors read past a short block's end.
+    EXPECT_GT(past_short_end, 100u);
 }
 
 } // namespace

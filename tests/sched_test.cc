@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -895,6 +898,103 @@ TEST(AdmissionWindowTest, PerNodeDedupStats)
     EXPECT_TRUE(some_node_dedups);
     EXPECT_GT(stats.dedupRate(), 0.0);
     EXPECT_LT(stats.dedupRate(), 1.0);
+}
+
+// Survivor reads of a degraded chunk are keyed by their byte range
+// ("stripe|object|s|b|lo-hi"). Two queries on the same lost chunk move
+// identical bytes and share them; two different lost chunks of one
+// stripe read different ranges of the same survivor blocks and must
+// not alias into one read.
+TEST(AdmissionWindowTest, DegradedSurvivorReadsShareOnlyIdenticalRanges)
+{
+    // Find one block holding whole chunks of two different columns.
+    Rig probe = makeRig();
+    const store::ObjectManifest &m =
+        *probe.store->manifest("lineitem").value();
+    const size_t columns = m.fileMeta.schema.numColumns();
+    std::map<std::pair<size_t, size_t>, std::vector<uint32_t>> by_block;
+    for (uint32_t c = 0; c < m.numDataChunks(); ++c)
+        if (m.chunkPieces[c].size() == 1)
+            by_block[{m.chunkPieces[c][0].stripe,
+                      m.chunkPieces[c][0].blockIndex}]
+                .push_back(c);
+    std::optional<std::pair<uint32_t, uint32_t>> pair;
+    size_t stripe = 0, block = 0;
+    for (const auto &[where, chunks] : by_block) {
+        for (uint32_t b : chunks)
+            if (!pair && b % columns != chunks[0] % columns) {
+                pair.emplace(chunks[0], b);
+                std::tie(stripe, block) = where;
+            }
+    }
+    ASSERT_TRUE(pair.has_value());
+    const size_t victim = m.stripeNodes[stripe][block];
+    const format::Schema &schema = m.fileMeta.schema;
+    auto select = [&](uint32_t chunk) {
+        auto q = query::parseQuery(
+            "SELECT " + schema.column(chunk % columns).name +
+            " FROM lineitem");
+        FUSION_CHECK(q.isOk());
+        return q.value();
+    };
+    const query::Query qa = select(pair->first);
+    const query::Query qb = select(pair->second);
+
+    // Both plans read the same survivor blocks of that stripe, but
+    // different byte ranges of them.
+    probe.cluster->killNode(victim);
+    auto survivor_keys = [&](const query::Query &q) {
+        auto plan = probe.store->planQueryForBatch(q);
+        FUSION_CHECK(plan.isOk());
+        const std::string prefix =
+            "stripe|lineitem|" + std::to_string(stripe) + "|";
+        std::set<std::string> keys;
+        for (const auto *tasks :
+             {&plan.value()->filterTasks, &plan.value()->projectionTasks})
+            for (const auto &t : *tasks)
+                if (t.shareKey.rfind(prefix, 0) == 0)
+                    keys.insert(t.shareKey);
+        return keys;
+    };
+    const std::set<std::string> keys_a = survivor_keys(qa);
+    const std::set<std::string> keys_b = survivor_keys(qb);
+    ASSERT_FALSE(keys_a.empty());
+    ASSERT_FALSE(keys_b.empty());
+    for (const std::string &key : keys_a)
+        EXPECT_EQ(keys_b.count(key), 0u) << key;
+
+    Rig solo_rig = makeRig();
+    // Runs the queries together under a crash of the victim; returns
+    // how many survivor reads were absorbed by an equal in-flight read.
+    auto run = [&](const std::vector<query::Query> &batch) {
+        Rig rig = makeRig(3000, /*observe=*/true);
+        sim::FaultSchedule schedule;
+        schedule.crashAt(1e-4, victim);
+        sim::FaultInjector faults(*rig.cluster, schedule);
+        faults.arm();
+        sched::SharedScanScheduler scheduler(*rig.store);
+        std::vector<sched::QueryHandle *> handles(batch.size());
+        rig.cluster->engine().scheduleAt(2e-4, [&]() {
+            for (size_t i = 0; i < batch.size(); ++i)
+                handles[i] = scheduler.submit(batch[i], i);
+        });
+        scheduler.awaitAll();
+        for (size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_TRUE(handles[i]->status().isOk());
+            auto solo = solo_rig.store->query(batch[i]);
+            EXPECT_TRUE(solo.isOk());
+            EXPECT_EQ(resultFingerprint(handles[i]->outcome().result),
+                      resultFingerprint(solo.value().result));
+        }
+        size_t absorbed = 0;
+        for (const auto &span : rig.store->obs().tracer.spans())
+            if (std::string(span.name) == "sched_wait" &&
+                span.args.find("\"key\": \"stripe|") != std::string::npos)
+                ++absorbed;
+        return absorbed;
+    };
+    EXPECT_GT(run({qa, qa}), 0u);
+    EXPECT_EQ(run({qa, qb}), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -622,5 +622,106 @@ TEST(RecoveryTest, RepairAfterMediaLossCountsReconstructions)
     EXPECT_EQ(back.value(), object);
 }
 
+// A lost FAC chunk is one byte range of one block, so a degraded read
+// pulls only that range from k survivors: the plan's survivor reads sum
+// to the clipped ranges (well under k whole blocks), the host rebuild
+// reads the same bytes, and results and counters do not depend on
+// FUSION_THREADS. Repair still rebuilds whole blocks.
+TEST(RecoveryTest, DegradedReadsRebuildOnlyTheLostRange)
+{
+    Bytes object = lineitemBytes();
+    const query::Query q =
+        sql("SELECT l_orderkey FROM lineitem WHERE l_quantity < 20");
+    TestRig healthy = makeRig(true);
+    ASSERT_TRUE(healthy.store->put("lineitem", object).isOk());
+    auto reference = healthy.store->query(q);
+    ASSERT_TRUE(reference.isOk());
+
+    const size_t victim = 4;
+    const size_t n = 9, k = 6;
+    std::optional<obs::MetricsSnapshot> serial_counters;
+    for (size_t threads : {1, 2, 4}) {
+        ThreadPool::setSharedThreads(threads);
+        TestRig rig = makeRig(true);
+        ASSERT_TRUE(rig.store->put("lineitem", object).isOk());
+        rig.cluster->killNode(victim);
+        const ObjectManifest &m = *rig.store->manifest("lineitem").value();
+
+        auto plan = rig.store->planQueryForBatch(q);
+        ASSERT_TRUE(plan.isOk()) << plan.status().toString();
+        std::map<uint32_t, uint64_t> survivor_bytes; // per lost chunk
+        for (const auto *tasks :
+             {&plan.value()->filterTasks, &plan.value()->projectionTasks})
+            for (const auto &task : *tasks)
+                if (task.shareKey.rfind("stripe|", 0) == 0)
+                    survivor_bytes[task.chunkId] += task.replyBytes;
+        ASSERT_FALSE(survivor_bytes.empty());
+
+        uint64_t total = 0;
+        for (const auto &[chunk_id, bytes] : survivor_bytes) {
+            // Expected: the chunk's range on each of the first k
+            // survivors of its stripe, clipped to the survivor's true
+            // size (data blocks are stored unpadded).
+            const auto &pieces = m.chunkPieces.at(chunk_id);
+            ASSERT_EQ(pieces.size(), 1u);
+            const PieceLocation &piece = pieces[0];
+            ASSERT_EQ(m.stripeNodes[piece.stripe][piece.blockIndex], victim);
+            const fac::StripeLayout &ls = m.layout.stripes[piece.stripe];
+            uint64_t expected = 0;
+            size_t used = 0;
+            for (size_t b = 0; b < n && used < k; ++b) {
+                if (b == piece.blockIndex)
+                    continue;
+                const uint64_t size =
+                    b >= k ? ls.blockSize()
+                    : b < ls.dataBlocks.size() ? ls.dataBlocks[b].size()
+                                               : 0;
+                const uint64_t hi =
+                    std::min(piece.blockOffset + piece.size, size);
+                expected += hi > piece.blockOffset ? hi - piece.blockOffset
+                                                   : 0;
+                ++used;
+            }
+            EXPECT_EQ(bytes, expected) << "chunk " << chunk_id;
+            EXPECT_LT(piece.size, ls.blockSize()) << "chunk " << chunk_id;
+            EXPECT_LT(bytes, k * ls.blockSize()) << "chunk " << chunk_id;
+            total += bytes;
+        }
+        // The host rebuild read exactly the bytes the plan moves.
+        EXPECT_EQ(faultCount(*rig.store, "rebuild_read_bytes"), total);
+        EXPECT_EQ(faultCount(*rig.store, "parity_reconstructions"),
+                  survivor_bytes.size());
+
+        rig.store->dropCaches();
+        auto degraded = rig.store->query(q);
+        ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
+        expectSameResults(degraded.value().result,
+                          reference.value().result);
+        const obs::MetricsSnapshot counters =
+            testutil::faultCounters(*rig.store);
+        if (!serial_counters)
+            serial_counters = counters;
+        EXPECT_TRUE(counters == *serial_counters) << threads << " threads";
+
+        // Media loss on the victim: repair rebuilds its whole blocks.
+        rig.cluster->node(victim).wipe();
+        rig.cluster->reviveNode(victim);
+        auto rebuilt = rig.store->repairNode(victim);
+        ASSERT_TRUE(rebuilt.isOk()) << rebuilt.status().toString();
+        EXPECT_EQ(rebuilt.value(), m.blocksOnNode(victim).size());
+        for (const auto &ref : m.blocksOnNode(victim)) {
+            const std::string key = m.blockKey(ref.stripe, ref.blockIndex);
+            const Bytes *block = rig.cluster->node(victim).findBlock(key);
+            const Bytes *original =
+                healthy.cluster->node(victim).findBlock(key);
+            ASSERT_NE(block, nullptr);
+            ASSERT_NE(original, nullptr);
+            EXPECT_EQ(*block, *original)
+                << "stripe " << ref.stripe << " block " << ref.blockIndex;
+        }
+    }
+    ThreadPool::setSharedThreads(1);
+}
+
 } // namespace
 } // namespace fusion::store
