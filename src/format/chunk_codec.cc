@@ -1,6 +1,8 @@
 #include "chunk_codec.h"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 
 #include "codec/bitpack.h"
 #include "codec/dictionary.h"
@@ -117,20 +119,58 @@ plainDecodeInto(BinaryReader &reader, PhysicalType type, size_t count,
     return Status::ok();
 }
 
-// Computes min/max over a column; column must be non-empty.
+// Computes min/max over a column; column must be non-empty. Unboxed,
+// with Value::compare's order: numbers compare as doubles.
 void
 computeMinMax(const ColumnData &column, Value &min_v, Value &max_v)
 {
     FUSION_CHECK(!column.empty());
-    min_v = column.valueAt(0);
-    max_v = column.valueAt(0);
-    for (size_t i = 1; i < column.size(); ++i) {
-        Value v = column.valueAt(i);
-        if (v < min_v)
-            min_v = v;
-        if (max_v < v)
-            max_v = v;
+    auto run = [&](const auto &values) {
+        using T = std::decay_t<decltype(values[0])>;
+        auto less = [](const T &a, const T &b) {
+            if constexpr (std::is_same_v<T, std::string>)
+                return a.compare(b) < 0;
+            else
+                return static_cast<double>(a) < static_cast<double>(b);
+        };
+        size_t lo = 0, hi = 0;
+        for (size_t i = 1; i < values.size(); ++i) {
+            if (less(values[i], values[lo]))
+                lo = i;
+            if (less(values[hi], values[i]))
+                hi = i;
+        }
+        min_v = Value(values[lo]);
+        max_v = Value(values[hi]);
+    };
+    switch (column.type()) {
+      case PhysicalType::kInt32: run(column.int32s()); break;
+      case PhysicalType::kInt64: run(column.int64s()); break;
+      case PhysicalType::kDouble: run(column.doubles()); break;
+      case PhysicalType::kString: run(column.strings()); break;
     }
+}
+
+// Appends dict[code] for every code, unboxed.
+Status
+appendDictionaryValues(const ColumnData &dict,
+                       const std::vector<uint64_t> &codes, ColumnData &out)
+{
+    auto gather = [&](const auto &values) {
+        for (uint64_t code : codes) {
+            if (code >= values.size())
+                return Status::corruption("dictionary code out of range");
+            out.append(values[code]);
+        }
+        return Status::ok();
+    };
+    switch (dict.type()) {
+      case PhysicalType::kInt32: return gather(dict.int32s());
+      case PhysicalType::kInt64: return gather(dict.int64s());
+      case PhysicalType::kDouble: return gather(dict.doubles());
+      case PhysicalType::kString: return gather(dict.strings());
+    }
+    return Status::ok();
 }
 
 // Dictionary-encodes a column into (dict column, codes). Returns false
@@ -332,11 +372,8 @@ decodeChunk(Slice bytes, PhysicalType type)
                                           page_count.value());
             if (!codes.isOk())
                 return codes.status();
-            for (uint64_t code : codes.value()) {
-                if (code >= dict.value().size())
-                    return Status::corruption("dictionary code out of range");
-                out.appendValue(dict.value().valueAt(code));
-            }
+            FUSION_RETURN_IF_ERROR(
+                appendDictionaryValues(dict.value(), codes.value(), out));
             decoded += page_count.value();
         }
         if (decoded != count.value())

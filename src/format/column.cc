@@ -30,6 +30,19 @@ ColumnData::size() const
 }
 
 void
+ColumnData::append(const ColumnData &other)
+{
+    FUSION_CHECK(other.type() == type() && &other != this);
+    std::visit(
+        [&other](auto &dst) {
+            const auto &src =
+                std::get<std::decay_t<decltype(dst)>>(other.data_);
+            dst.insert(dst.end(), src.begin(), src.end());
+        },
+        data_);
+}
+
+void
 ColumnData::appendValue(const Value &v)
 {
     FUSION_CHECK(v.type() == type());
@@ -64,7 +77,7 @@ ColumnData::plainEncodedSize() const
       case PhysicalType::kString: {
         uint64_t total = 0;
         for (const auto &s : strings())
-            total += 4 + s.size(); // 4-byte length prefix approximation
+            total += 4 + s.size(); // u32 length prefix + bytes
         return total;
       }
     }

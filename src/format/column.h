@@ -37,6 +37,9 @@ class ColumnData
         std::get<Strings>(data_).push_back(std::move(v));
     }
 
+    /** Appends every value of `other`, another column of this type. */
+    void append(const ColumnData &other);
+
     /** Appends a Value; its type must match the column type. */
     void appendValue(const Value &v);
 
@@ -60,7 +63,8 @@ class ColumnData
         return std::get<Strings>(data_);
     }
 
-    /** Bytes this column would occupy in plain encoding. */
+    /** Bytes this column occupies in plain encoding: exactly
+     *  plainEncode(*this).size(). */
     uint64_t plainEncodedSize() const;
 
     bool operator==(const ColumnData &o) const { return data_ == o.data_; }

@@ -139,8 +139,7 @@ scanDeltaSegment(const format::FileMetadata &meta, Slice file,
                     static_cast<double>(meta.chunk(rg, col).plainSize);
             }
             format::ColumnData sel = query::selectRows(chunk.value(), bitmap);
-            for (size_t i = 0; i < sel.size(); ++i)
-                acc.appendValue(sel.valueAt(i));
+            acc.append(sel);
         }
     }
 
@@ -149,10 +148,7 @@ scanDeltaSegment(const format::FileMetadata &meta, Slice file,
             out.selected.emplace_back();
             continue;
         }
-        const format::ColumnData &acc = selected_by_col.at(proj.column);
-        out.selected.push_back(acc);
-        if (proj.aggregate == query::AggregateKind::kNone)
-            out.clientReplyBytes += acc.plainEncodedSize();
+        out.selected.push_back(selected_by_col.at(proj.column));
     }
     return out;
 }

@@ -84,9 +84,6 @@ struct DeltaScanResult {
     uint64_t touchedStoredBytes = 0;
     /** Decode + evaluate CPU work over those chunks. */
     double scanWork = 0.0;
-    /** Extra client-reply bytes (plain-encoded selected values of
-     *  non-aggregate projections; aggregates merge into scalars). */
-    uint64_t clientReplyBytes = 0;
     /** Selected values per resolved projection, in projection order
      *  (empty column for COUNT(*)). */
     std::vector<format::ColumnData> selected;

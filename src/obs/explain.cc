@@ -98,6 +98,10 @@ QueryExplain::render() const
     out += "\n";
     for (const auto &row : rows)
         emit_row(row);
+    for (const auto &r : replies)
+        out += "reply: " + r.column + "  " + r.encoding + "  " +
+               std::to_string(r.bytes) + " B (plain " +
+               std::to_string(r.plainBytes) + " B)\n";
     return out;
 }
 
@@ -129,6 +133,16 @@ QueryExplain::toJson() const
                ", \"verdict\": \"" + c.verdict + "\"" +
                ", \"reason\": \"" + c.reason + "\"}";
         out += i + 1 < projections.size() ? ",\n" : "\n";
+    }
+    out += "  ],\n";
+    out += "  \"replies\": [\n";
+    for (size_t i = 0; i < replies.size(); ++i) {
+        const ExplainReply &r = replies[i];
+        out += "    {\"column\": \"" + r.column + "\"" +
+               ", \"encoding\": \"" + r.encoding + "\"" +
+               ", \"bytes\": " + std::to_string(r.bytes) +
+               ", \"plain_bytes\": " + std::to_string(r.plainBytes) + "}";
+        out += i + 1 < replies.size() ? ",\n" : "\n";
     }
     out += "  ]\n}\n";
     return out;

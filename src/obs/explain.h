@@ -44,6 +44,16 @@ struct ExplainChunk {
     double product() const { return selectivity * compressibility; }
 };
 
+/** How one result column travels to the client. */
+struct ExplainReply {
+    std::string column;
+    /** "encoded:dictionary" / "encoded:plain" (format::encodeChunk
+     *  bytes), "plain" (raw values) or "aggregate" (one scalar). */
+    std::string encoding;
+    uint64_t bytes = 0;      // on the wire
+    uint64_t plainBytes = 0; // the same values plain-encoded
+};
+
 /** Full report for one query against one object. */
 struct QueryExplain {
     std::string table;
@@ -56,6 +66,8 @@ struct QueryExplain {
     /** Filter chunks served from the coordinator hot-chunk cache. */
     size_t filterCached = 0;
     std::vector<ExplainChunk> projections;
+    /** One line per result column, in projection order. */
+    std::vector<ExplainReply> replies;
 
     size_t pushCount() const;
     size_t fetchCount() const;

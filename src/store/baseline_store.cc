@@ -27,7 +27,6 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
     plan.outcome.result = plane.value().result;
-    plan.clientReplyBytes = plane.value().resultWireBytes;
 
     // Distinct columns the query touches, filter columns first.
     std::vector<size_t> columns;

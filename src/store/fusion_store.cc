@@ -50,7 +50,6 @@ FusionStore::planQuery(const ObjectManifest &manifest,
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
     plan.outcome.result = plane.result;
-    plan.clientReplyBytes = plane.resultWireBytes;
 
     // Filter signatures identify the reply payload for cross-query
     // sharing: a filter-pushdown bitmap depends only on the predicates

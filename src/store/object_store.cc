@@ -76,6 +76,8 @@ ObjectStore::ObjectStore(sim::Cluster &cluster, const StoreOptions &options)
     ins_.wireProjectionReply = &reg.counter("wire.projection.reply_bytes");
     ins_.wireClientRequest = &reg.counter("wire.client.request_bytes");
     ins_.wireClientReply = &reg.counter("wire.client.reply_bytes");
+    ins_.wireClientReplyPlain =
+        &reg.counter("wire.client.reply_plain_bytes");
     // Hot-chunk cache tier counters are registered even when the cache
     // is disabled so metric snapshots keep a stable key set.
     ins_.cacheChunkHits = &reg.counter("cache.chunk.hits");
@@ -912,10 +914,8 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
             if (delta_values[i].size() == 0)
                 delta_values[i] = sel;
             else
-                for (size_t r = 0; r < sel.size(); ++r)
-                    delta_values[i].appendValue(sel.valueAt(r));
+                delta_values[i].append(sel);
         }
-        plan.clientReplyBytes += sr.clientReplyBytes;
         plan.outcome.rowGroupsScanned += sr.rowGroups.size();
         plan.outcome.rowGroupsSkipped +=
             segment.meta.numRowGroups() - sr.rowGroups.size();
@@ -937,8 +937,9 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
         query::ProjectionResult &col = res.columns[i];
         const query::Projection &proj = resolved.projections.at(i);
         if (!col.isAggregate) {
-            for (size_t r = 0; r < delta_values[i].size(); ++r)
-                col.values.appendValue(delta_values[i].valueAt(r));
+            // An untouched accumulator is still default-typed.
+            if (delta_values[i].size() != 0)
+                col.values.append(delta_values[i]);
             continue;
         }
         const uint64_t dn = delta_values[i].size();
@@ -1645,10 +1646,9 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                 return chunk.status();
             format::ColumnData selected =
                 query::selectRows(*chunk.value(), *bitmap);
-            uint64_t wire = format::plainEncode(selected).size();
-            plane.projectionReplySize[{rg, col}] = wire;
-            for (size_t i = 0; i < selected.size(); ++i)
-                values.appendValue(selected.valueAt(i));
+            plane.projectionReplySize[{rg, col}] =
+                selected.plainEncodedSize();
+            values.append(selected);
         }
         projected.emplace(name, std::move(values));
     }
@@ -1668,12 +1668,9 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                     return agg.status();
                 out.aggregateValue = agg.value();
             }
-            plane.resultWireBytes += 16;
         } else {
             out.name = proj.column;
             out.values = projected.at(proj.column);
-            plane.resultWireBytes +=
-                format::plainEncode(out.values).size();
         }
         plane.result.columns.push_back(std::move(out));
     }
@@ -1895,17 +1892,16 @@ ObjectStore::accountTask(const SimTask &task, size_t coordinator,
 }
 
 void
-ObjectStore::accountClientExchange(uint64_t reply_bytes,
-                                   QueryOutcome &out) const
+ObjectStore::accountClientExchange(QueryPlan &plan) const
 {
     const sim::NodeConfig &nc = cluster_.config().node;
-    out.networkBytes += options_.clientRequestBytes + reply_bytes;
-    out.networkSeconds +=
-        static_cast<double>(options_.clientRequestBytes + reply_bytes) /
-            nc.nicBandwidth +
-        2 * nc.rpcLatency;
+    const uint64_t bytes = options_.clientRequestBytes + plan.clientReplyBytes;
+    plan.outcome.networkBytes += bytes;
+    plan.outcome.networkSeconds +=
+        static_cast<double>(bytes) / nc.nicBandwidth + 2 * nc.rpcLatency;
     ins_.wireClientRequest->add(options_.clientRequestBytes);
-    ins_.wireClientReply->add(reply_bytes);
+    ins_.wireClientReply->add(plan.clientReplyBytes);
+    ins_.wireClientReplyPlain->add(plan.clientReplyPlainBytes);
 }
 
 ObjectStore::SimTask
@@ -2009,18 +2005,46 @@ ObjectStore::simulateQuery(std::shared_ptr<QueryPlan> plan,
         const double now = cluster_.engine().now();
         plan->outcome.latencySeconds = now - start_seconds;
         recordQueryLatency(now, plan->outcome.latencySeconds);
-        accountClientExchange(plan->clientReplyBytes, plan->outcome);
+        accountClientExchange(*plan);
         obs_.tracer.endSpan((*spans)[0]);
         done();
     };
 
-    // Inter-stage CPU is summed after every task's own costs: one fixed
-    // order keeps cpuSeconds bit-stable under any dispatch.
+    // Inter-stage and reply CPU are summed after every task's own
+    // costs: one fixed order keeps cpuSeconds bit-stable under any
+    // dispatch. The reply is encoded at the coordinator and decoded at
+    // the client, each paying clientReplyWork; zero work skips the
+    // acquire, which would still wait for a free core.
     auto finish = [this, plan, reply, client, coord, spans]() {
         obs_.tracer.endSpan((*spans)[2]);
-        plan->outcome.cpuSeconds +=
-            plan->interStageCoordWork / cluster_.config().node.cpuRate;
-        cluster_.transfer(*coord, *client, plan->clientReplyBytes, reply);
+        const double rate = cluster_.config().node.cpuRate;
+        const double work = plan->clientReplyWork;
+        plan->outcome.cpuSeconds += plan->interStageCoordWork / rate;
+        plan->outcome.cpuSeconds += work / rate; // coordinator encode
+        plan->outcome.cpuSeconds += work / rate; // client decode
+        const uint64_t span = obs_.tracer.beginSpan(
+            "client_reply",
+            "\"reply_bytes\": " + std::to_string(plan->clientReplyBytes) +
+                ", \"plain_bytes\": " +
+                std::to_string(plan->clientReplyPlainBytes));
+        auto decoded = [this, reply, span]() {
+            obs_.tracer.endSpan(span);
+            reply();
+        };
+        auto decode = [client, work, decoded]() {
+            if (work > 0.0)
+                client->cpu().acquire(work, decoded);
+            else
+                decoded();
+        };
+        auto ship = [this, plan, client, coord, decode]() {
+            cluster_.transfer(*coord, *client, plan->clientReplyBytes,
+                              decode);
+        };
+        if (work > 0.0)
+            coord->cpu().acquire(work, ship);
+        else
+            ship();
     };
 
     auto run_stage = [plan, dispatch = std::move(dispatch)](
@@ -2094,7 +2118,69 @@ ObjectStore::planQueryForBatch(const query::Query &q)
         if (!merged.isOk())
             return merged;
     }
+    FUSION_RETURN_IF_ERROR(encodeClientReply(*m.value(), *shared));
     return shared;
+}
+
+Status
+ObjectStore::encodeClientReply(const ObjectManifest &manifest,
+                               QueryPlan &plan) const
+{
+    const format::FileMetadata &meta = manifest.fileMeta;
+    // Dictionary encoding is the writer's verdict that the column's
+    // values repeat, so the reply is worth encoding only when every
+    // chunk of the column carries it.
+    auto dictionary_column = [&meta](const std::string &name) {
+        auto col = meta.schema.columnIndex(name);
+        if (!col.isOk())
+            return false;
+        for (size_t rg = 0; rg < meta.numRowGroups(); ++rg)
+            if (meta.chunk(rg, col.value()).encoding !=
+                format::ChunkEncoding::kDictionary)
+                return false;
+        return true;
+    };
+
+    std::vector<obs::ExplainReply> lines;
+    for (query::ProjectionResult &col : plan.outcome.result.columns) {
+        obs::ExplainReply line{col.name, "aggregate", 16, 16};
+        if (!col.isAggregate) {
+            line.encoding = "plain";
+            line.plainBytes = col.values.plainEncodedSize();
+            line.bytes = line.plainBytes;
+            // encodeChunk refuses empty input; zero rows ship 0 bytes.
+            if (!col.values.empty() && dictionary_column(col.name)) {
+                format::EncodedChunk wire = format::encodeChunk(
+                    col.values, format::ChunkEncodeOptions{});
+                auto decoded =
+                    format::decodeChunk(wire.bytes, col.values.type());
+                if (!decoded.isOk())
+                    return decoded.status();
+                col.values = std::move(decoded.value());
+                line.encoding =
+                    wire.encoding == format::ChunkEncoding::kDictionary
+                        ? "encoded:dictionary"
+                        : "encoded:plain";
+                line.bytes = wire.bytes.size();
+                format::ChunkMeta shipped;
+                shipped.storedSize = line.bytes;
+                shipped.plainSize = line.plainBytes;
+                plan.clientReplyWork += chunkDecodeWork(shipped);
+            }
+        }
+        plan.clientReplyBytes += line.bytes;
+        plan.clientReplyPlainBytes += line.plainBytes;
+        lines.push_back(std::move(line));
+    }
+
+    if (plan.outcome.explain != nullptr) {
+        // Copy-on-write: the base report may be shared with a caller.
+        auto amended =
+            std::make_shared<obs::QueryExplain>(*plan.outcome.explain);
+        amended->replies = std::move(lines);
+        plan.outcome.explain = std::move(amended);
+    }
+    return Status::ok();
 }
 
 void

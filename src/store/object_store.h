@@ -362,7 +362,12 @@ class ObjectStore : public lifecycle::CompactionHost
         /** Pure waiting the coordinator accumulated before the filter
          *  stage (retry backoff against faulted nodes). */
         double extraLatencySeconds = 0.0;
+        /** The client reply encodeClientReply built: wire bytes, the
+         *  plain size of the same values, and the CPU work to encode
+         *  (coordinator) and again to decode (client) it. */
         uint64_t clientReplyBytes = 0;
+        uint64_t clientReplyPlainBytes = 0;
+        double clientReplyWork = 0.0;
         QueryOutcome outcome;
     };
 
@@ -387,7 +392,8 @@ class ObjectStore : public lifecycle::CompactionHost
     /**
      * The stage DAG every query runs through: client RPC -> retry
      * backoff -> filter_stage -> inter-stage coordinator CPU ->
-     * projection_stage -> client reply. Each stage hands its tasks to
+     * projection_stage -> client reply (coordinator encode, transfer,
+     * client decode). Each stage hands its tasks to
      * `dispatch`; queryAsync runs every task alone (accountTask +
      * executeTask), the admission window dedups them across queries.
      * The DAG owns the query / filter_stage / projection_stage spans
@@ -532,7 +538,6 @@ class ObjectStore : public lifecycle::CompactionHost
          *  column) bitmap a storage node returns from filter pushdown
          *  (predicates on the same column are ANDed node-side). */
         std::map<std::pair<size_t, size_t>, uint64_t> filterReplyWireSize;
-        uint64_t resultWireBytes = 0;
     };
 
     /** Runs filters, projections and aggregates on real data. */
@@ -662,6 +667,7 @@ class ObjectStore : public lifecycle::CompactionHost
         obs::Counter *wireProjectionReply = nullptr;
         obs::Counter *wireClientRequest = nullptr;
         obs::Counter *wireClientReply = nullptr;
+        obs::Counter *wireClientReplyPlain = nullptr;
         obs::Counter *cacheChunkHits = nullptr;
         obs::Counter *cacheChunkMisses = nullptr;
         obs::Counter *cacheChunkEvictions = nullptr;
@@ -726,9 +732,20 @@ class ObjectStore : public lifecycle::CompactionHost
     Result<std::vector<Bytes>> rebuildRange(const ObjectManifest &manifest,
                                             size_t stripe, uint64_t offset,
                                             uint64_t size);
-    /** Accounts one query's client request/reply exchange. */
-    void accountClientExchange(uint64_t reply_bytes,
-                               QueryOutcome &out) const;
+    /**
+     * Builds the client reply of a planned query, after the delta
+     * merge. A non-aggregate column whose every footer chunk is
+     * dictionary-encoded ships as format::encodeChunk bytes (default
+     * options) and its result becomes the decodeChunk of those bytes;
+     * any other column ships plain, an aggregate as 16 bytes and a
+     * zero-row column as 0 bytes. Sets the plan's clientReply* fields
+     * and the EXPLAIN report's per-column reply lines.
+     */
+    Status encodeClientReply(const ObjectManifest &manifest,
+                             QueryPlan &plan) const;
+    /** Accounts one query's client request/reply exchange into its
+     *  outcome and the wire.client.* counters. */
+    void accountClientExchange(QueryPlan &plan) const;
     /**
      * Records one completed query's latency into the histogram, the
      * "query.latency_seconds" sliding window and (when enabled) the

@@ -69,6 +69,63 @@ TEST(ColumnDataTest, TypedAppendAndBoxing)
     EXPECT_EQ(col.doubles().back(), 3.5);
 }
 
+/** `n` rows of `type` cycling through `cardinality` distinct values;
+ *  distinct value 0 of a string column is the empty string. */
+ColumnData
+makeCyclicColumn(PhysicalType type, size_t n, size_t cardinality)
+{
+    ColumnData col(type);
+    for (size_t i = 0; i < n; ++i) {
+        const auto j = static_cast<int64_t>(i % cardinality);
+        switch (type) {
+          case PhysicalType::kInt32:
+            col.append(static_cast<int32_t>(j - 7));
+            break;
+          case PhysicalType::kInt64: col.append((j << 33) - 5); break;
+          case PhysicalType::kDouble:
+            col.append(static_cast<double>(j) * 0.5 - 3.0);
+            break;
+          case PhysicalType::kString:
+            col.append(j == 0 ? std::string() : std::to_string(j) + "v");
+            break;
+        }
+    }
+    return col;
+}
+
+constexpr PhysicalType kAllPhysicalTypes[] = {
+    PhysicalType::kInt32, PhysicalType::kInt64, PhysicalType::kDouble,
+    PhysicalType::kString};
+
+TEST(ColumnDataTest, BulkAppendMatchesBoxedAppendForEveryType)
+{
+    for (PhysicalType type : kAllPhysicalTypes) {
+        ColumnData head = makeCyclicColumn(type, 5, 3);
+        const ColumnData tail = makeCyclicColumn(type, 9, 4);
+        ColumnData boxed = head;
+        for (size_t i = 0; i < tail.size(); ++i)
+            boxed.appendValue(tail.valueAt(i));
+        head.append(tail);
+        EXPECT_TRUE(head == boxed) << physicalTypeName(type);
+        EXPECT_EQ(head.size(), 14u);
+
+        ColumnData empty(type);
+        empty.append(ColumnData(type));
+        EXPECT_TRUE(empty.empty()) << physicalTypeName(type);
+    }
+}
+
+TEST(ColumnDataTest, PlainEncodedSizeIsExact)
+{
+    for (PhysicalType type : kAllPhysicalTypes) {
+        for (size_t n : {0, 1, 37}) {
+            ColumnData col = makeCyclicColumn(type, n, 5);
+            EXPECT_EQ(col.plainEncodedSize(), plainEncode(col).size())
+                << physicalTypeName(type) << " n=" << n;
+        }
+    }
+}
+
 TEST(TableTest, ValidateCatchesRaggedColumns)
 {
     Schema schema({{"a", PhysicalType::kInt64, LogicalType::kNone},
@@ -219,6 +276,60 @@ TEST(ChunkCodecTest, CorruptChunkIsDetected)
     Bytes bad_tag = encoded.bytes;
     bad_tag[0] = 0x7f;
     EXPECT_FALSE(decodeChunk(Slice(bad_tag), col.type()).isOk());
+}
+
+TEST(ChunkCodecTest, RoundTripPropertyPerPhysicalType)
+{
+    // With 100 values the default dictionary cut is 50 distinct values.
+    struct Shape {
+        size_t rows;
+        size_t cardinality;
+        ChunkEncoding want;
+    };
+    const Shape shapes[] = {
+        {1, 1, ChunkEncoding::kPlain},         // one value
+        {100, 1, ChunkEncoding::kDictionary},  // all values equal
+        {100, 50, ChunkEncoding::kDictionary}, // at the cut
+        {100, 51, ChunkEncoding::kPlain},      // just past it
+    };
+    for (PhysicalType type : kAllPhysicalTypes) {
+        for (const Shape &shape : shapes) {
+            ColumnData col =
+                makeCyclicColumn(type, shape.rows, shape.cardinality);
+            EncodedChunk encoded = encodeChunk(col, {});
+            EXPECT_EQ(encoded.encoding, shape.want)
+                << physicalTypeName(type) << " card=" << shape.cardinality;
+            EXPECT_EQ(encoded.plainSize, col.plainEncodedSize());
+            auto decoded = decodeChunk(Slice(encoded.bytes), type);
+            ASSERT_TRUE(decoded.isOk()) << decoded.status().toString();
+            EXPECT_TRUE(decoded.value() == col)
+                << physicalTypeName(type) << " rows=" << shape.rows
+                << " card=" << shape.cardinality;
+        }
+    }
+}
+
+TEST(ChunkCodecTest, TruncatedOrMistaggedReplyIsAnError)
+{
+    for (PhysicalType type : kAllPhysicalTypes) {
+        for (size_t cardinality : {3, 400}) {
+            ColumnData col = makeCyclicColumn(type, 400, cardinality);
+            const Bytes wire = encodeChunk(col, {}).bytes;
+            for (size_t len = 0; len < wire.size(); ++len)
+                EXPECT_FALSE(
+                    decodeChunk(Slice(wire.data(), len), type).isOk())
+                    << physicalTypeName(type) << " prefix " << len << " of "
+                    << wire.size();
+            // The encoding byte: the other valid tag, then invalid ones.
+            for (uint8_t tag : {uint8_t(wire[0] ^ 1), uint8_t(2),
+                                uint8_t(0xff)}) {
+                Bytes bad = wire;
+                bad[0] = tag;
+                EXPECT_FALSE(decodeChunk(Slice(bad), type).isOk())
+                    << physicalTypeName(type) << " tag " << int(tag);
+            }
+        }
+    }
 }
 
 Table

@@ -63,11 +63,8 @@ format::Table
 concatTables(const format::Table &base, const format::Table &extra)
 {
     format::Table merged = base;
-    for (size_t col = 0; col < merged.numColumns(); ++col) {
-        const format::ColumnData &src = extra.column(col);
-        for (size_t i = 0; i < src.size(); ++i)
-            merged.column(col).appendValue(src.valueAt(i));
-    }
+    for (size_t col = 0; col < merged.numColumns(); ++col)
+        merged.column(col).append(extra.column(col));
     return merged;
 }
 
@@ -175,6 +172,61 @@ TEST(LifecycleAppendTest, QueriesMergeDeltaSegments)
     EXPECT_GT(
         rig.store->obs().metrics.counter("append.delta_scans").value(),
         0u);
+}
+
+TEST(LifecycleAppendTest, MergedReplyMatchesFreshPutReference)
+{
+    TestRig rig = makeRig(noCompactionOptions());
+    auto base = workload::buildLineitemFile(kBaseRows, 7);
+    ASSERT_TRUE(base.isOk());
+    ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
+    format::Table batch = workload::makeLineitemTable(300, 41);
+    ASSERT_TRUE(rig.store->append("lineitem", batch).isOk());
+
+    TestRig ref = makeRig(noCompactionOptions());
+    format::WriterOptions writer_options;
+    writer_options.rowGroupRows = kBaseGroupRows;
+    auto merged_file = format::writeTable(
+        concatTables(workload::makeLineitemTable(kBaseRows, 7), batch),
+        writer_options);
+    ASSERT_TRUE(merged_file.isOk());
+    ASSERT_TRUE(
+        ref.store->put("lineitem", merged_file.value().bytes).isOk());
+
+    // l_returnflag and l_shipmode ship encoded, l_extendedprice plain;
+    // the delta rows ride inside the same encoded reply column.
+    const std::string text =
+        "SELECT l_returnflag, l_extendedprice, l_shipmode FROM lineitem "
+        "WHERE l_quantity < 12";
+    rig.store->obs().explainEnabled = true;
+    ref.store->obs().explainEnabled = true;
+    auto got = rig.store->querySql(text);
+    auto want = ref.store->querySql(text);
+    ASSERT_TRUE(got.isOk()) << got.status().toString();
+    ASSERT_TRUE(want.isOk());
+    EXPECT_EQ(got.value().deltaSegmentsScanned, 1u);
+    expectSameResult(got.value().result, want.value().result);
+
+    for (const char *name :
+         {"wire.client.reply_bytes", "wire.client.reply_plain_bytes"})
+        EXPECT_EQ(rig.store->obs().metrics.counter(name).value(),
+                  ref.store->obs().metrics.counter(name).value())
+            << name;
+    ASSERT_NE(got.value().explain, nullptr);
+    ASSERT_NE(want.value().explain, nullptr);
+    const auto &got_lines = got.value().explain->replies;
+    const auto &want_lines = want.value().explain->replies;
+    ASSERT_EQ(got_lines.size(), 3u);
+    ASSERT_EQ(want_lines.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(got_lines[i].encoding, want_lines[i].encoding);
+        EXPECT_EQ(got_lines[i].bytes, want_lines[i].bytes);
+        EXPECT_EQ(got_lines[i].plainBytes, want_lines[i].plainBytes);
+    }
+    EXPECT_EQ(got_lines[0].encoding, "encoded:dictionary");
+    EXPECT_EQ(got_lines[1].encoding, "plain");
+    EXPECT_EQ(got_lines[2].encoding, "encoded:dictionary");
+    EXPECT_LT(got_lines[0].bytes, got_lines[0].plainBytes);
 }
 
 TEST(LifecycleAppendTest, GetReturnsMergedMaterialization)

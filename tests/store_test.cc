@@ -11,6 +11,8 @@
 #include <memory>
 
 #include "common/random.h"
+#include "format/chunk_codec.h"
+#include "query/parser.h"
 #include "store/baseline_store.h"
 #include "store/fusion_store.h"
 #include "workload/lineitem.h"
@@ -471,6 +473,145 @@ TEST(QueryExecutionTest, TaxiQuerySuiteSelectivities)
     // AVG(fare) is a sane dollar value.
     EXPECT_GT(q4.value().result.columns[1].aggregateValue, 2.5);
     EXPECT_LT(q4.value().result.columns[1].aggregateValue, 60.0);
+}
+
+/** Rows of column `col` where l_quantity < `limit`, in table order. */
+format::ColumnData
+referenceColumn(const format::Table &t, size_t col, double limit)
+{
+    format::ColumnData out(t.column(col).type());
+    for (size_t i = 0; i < t.numRows(); ++i)
+        if (t.column(workload::kQuantity).valueAt(i).numeric() < limit)
+            out.appendValue(t.column(col).valueAt(i));
+    return out;
+}
+
+/** Runs a planned query alone through the stage DAG, as queryAsync. */
+QueryOutcome
+simulatePlan(ObjectStore &store,
+             const std::shared_ptr<ObjectStore::QueryPlan> &plan)
+{
+    auto dispatch = [&store, plan](bool projection, size_t ti,
+                                   std::shared_ptr<sim::Join> join) {
+        const auto &task = projection ? plan->projectionTasks[ti]
+                                      : plan->filterTasks[ti];
+        store.accountTask(task, plan->coordinatorId, projection,
+                          plan->outcome);
+        store.executeTask(task, plan->coordinatorId, std::move(join));
+    };
+    bool done = false;
+    store.simulateQuery(plan, store.cluster().engine().now(), "", dispatch,
+                        [&done]() { done = true; });
+    store.cluster().engine().run();
+    EXPECT_TRUE(done);
+    return plan->outcome;
+}
+
+uint64_t
+counterValue(ObjectStore &store, const char *name)
+{
+    return store.obs().metrics.counter(name).value();
+}
+
+TEST(ClientReplyTest, DictionaryColumnShipsEncoded)
+{
+    const size_t rows = 4000;
+    format::Table table = workload::makeLineitemTable(rows, 7);
+    const format::ColumnData want =
+        referenceColumn(table, workload::kReturnFlag, 10.0);
+    ASSERT_FALSE(want.empty());
+    const uint64_t encoded = format::encodeChunk(want, {}).bytes.size();
+    const uint64_t plain = want.plainEncodedSize();
+    ASSERT_LT(encoded, plain);
+    const double work = static_cast<double>(encoded) +
+                        0.25 * static_cast<double>(plain);
+    const auto q = query::parseQuery(
+        "SELECT l_returnflag FROM lineitem WHERE l_quantity < 10");
+    ASSERT_TRUE(q.isOk());
+
+    for (bool fusion : {false, true}) {
+        TestRig rig = makeRig(fusion);
+        ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes()).isOk());
+        rig.store->obs().explainEnabled = true;
+
+        auto outcome = rig.store->query(q.value());
+        ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
+        ASSERT_EQ(outcome.value().result.columns.size(), 1u);
+        EXPECT_TRUE(outcome.value().result.columns[0].values == want)
+            << "fusion=" << fusion;
+        EXPECT_EQ(counterValue(*rig.store, "wire.client.reply_bytes"),
+                  encoded);
+        EXPECT_EQ(
+            counterValue(*rig.store, "wire.client.reply_plain_bytes"),
+            plain);
+        if (fusion) {
+            ASSERT_NE(outcome.value().explain, nullptr);
+            ASSERT_EQ(outcome.value().explain->replies.size(), 1u);
+            const obs::ExplainReply &line =
+                outcome.value().explain->replies[0];
+            EXPECT_EQ(line.column, "l_returnflag");
+            EXPECT_EQ(line.encoding, "encoded:dictionary");
+            EXPECT_EQ(line.bytes, encoded);
+            EXPECT_EQ(line.plainBytes, plain);
+            EXPECT_NE(outcome.value().explain->render().find(
+                          "reply: l_returnflag  encoded:dictionary"),
+                      std::string::npos);
+        }
+
+        // The same plan with the reply CPU zeroed: cpuSeconds differs
+        // by exactly the coordinator encode and the client decode.
+        auto planned = rig.store->planQueryForBatch(q.value());
+        ASSERT_TRUE(planned.isOk());
+        auto with_reply = planned.value();
+        EXPECT_EQ(with_reply->clientReplyBytes, encoded);
+        EXPECT_DOUBLE_EQ(with_reply->clientReplyWork, work);
+        auto without = std::make_shared<ObjectStore::QueryPlan>(*with_reply);
+        without->clientReplyWork = 0.0;
+        const QueryOutcome a = simulatePlan(*rig.store, with_reply);
+        const QueryOutcome b = simulatePlan(*rig.store, without);
+        const double rate = rig.cluster->config().node.cpuRate;
+        EXPECT_EQ(a.cpuSeconds, b.cpuSeconds + work / rate + work / rate)
+            << "fusion=" << fusion;
+        EXPECT_GT(a.latencySeconds, b.latencySeconds);
+    }
+}
+
+TEST(ClientReplyTest, PlainColumnKeepsPlainSize)
+{
+    format::Table table = workload::makeLineitemTable(4000, 7);
+    const format::ColumnData want =
+        referenceColumn(table, workload::kExtendedPrice, 10.0);
+    ASSERT_FALSE(want.empty());
+    TestRig rig = makeRig(true);
+    ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes()).isOk());
+    rig.store->obs().explainEnabled = true;
+    auto outcome = rig.store->querySql(
+        "SELECT l_extendedprice FROM lineitem WHERE l_quantity < 10");
+    ASSERT_TRUE(outcome.isOk());
+    EXPECT_TRUE(outcome.value().result.columns[0].values == want);
+    EXPECT_EQ(counterValue(*rig.store, "wire.client.reply_bytes"),
+              want.plainEncodedSize());
+    EXPECT_EQ(counterValue(*rig.store, "wire.client.reply_plain_bytes"),
+              want.plainEncodedSize());
+    ASSERT_NE(outcome.value().explain, nullptr);
+    ASSERT_EQ(outcome.value().explain->replies.size(), 1u);
+    EXPECT_EQ(outcome.value().explain->replies[0].encoding, "plain");
+}
+
+TEST(ClientReplyTest, ZeroRowResultShipsNothing)
+{
+    for (bool fusion : {false, true}) {
+        TestRig rig = makeRig(fusion);
+        ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes()).isOk());
+        auto outcome = rig.store->querySql(
+            "SELECT l_returnflag, l_extendedprice FROM lineitem "
+            "WHERE l_quantity < 0");
+        ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
+        EXPECT_EQ(outcome.value().result.rowsMatched, 0u);
+        EXPECT_EQ(counterValue(*rig.store, "wire.client.reply_bytes"), 0u);
+        EXPECT_EQ(
+            counterValue(*rig.store, "wire.client.reply_plain_bytes"), 0u);
+    }
 }
 
 } // namespace
