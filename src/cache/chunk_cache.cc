@@ -38,7 +38,7 @@ ChunkCache::syncBytesGauge()
         bytesGauge_->set(static_cast<double>(sizeBytes_));
 }
 
-std::shared_ptr<const Bytes>
+bool
 ChunkCache::lookup(const std::string &object, uint32_t chunk_id)
 {
     auto it = index_.find({object, chunk_id});
@@ -46,13 +46,13 @@ ChunkCache::lookup(const std::string &object, uint32_t chunk_id)
         ++misses_;
         if (missCounter_ != nullptr)
             missCounter_->add(1);
-        return nullptr;
+        return false;
     }
     ++hits_;
     if (hitCounter_ != nullptr)
         hitCounter_->add(1);
     it->second->visited = true;
-    return it->second->bytes;
+    return true;
 }
 
 bool
@@ -105,48 +105,27 @@ ChunkCache::erase(Queue::iterator it)
 
 bool
 ChunkCache::admit(const std::string &object, uint32_t chunk_id,
-                  std::shared_ptr<const Bytes> bytes)
+                  uint64_t size)
 {
     if (!enabled())
         return false;
     Key key{object, chunk_id};
     auto it = index_.find(key);
     if (it != index_.end()) {
-        // Re-admission counts as a use; callers may pass null bytes to
-        // refresh an entry they know is resident.
+        // Re-admission counts as a use.
         it->second->visited = true;
         return true;
     }
-    if (bytes == nullptr || bytes->empty())
-        return false;
-    const uint64_t size = bytes->size();
-    if (size > capacityBytes_)
+    if (size == 0 || size > capacityBytes_)
         return false;
     while (sizeBytes_ + size > capacityBytes_)
         evictOne();
-    queue_.push_front(
-        Slot{std::move(key), std::move(bytes), nullptr, size, false});
+    queue_.push_front(Slot{std::move(key), size, false});
     index_.emplace(queue_.front().key, queue_.begin());
     sizeBytes_ += size;
     ++admissions_;
     syncBytesGauge();
     return true;
-}
-
-void
-ChunkCache::attachDecoded(const std::string &object, uint32_t chunk_id,
-                          std::shared_ptr<const format::ColumnData> decoded)
-{
-    auto it = index_.find({object, chunk_id});
-    if (it != index_.end())
-        it->second->decoded = std::move(decoded);
-}
-
-std::shared_ptr<const format::ColumnData>
-ChunkCache::decoded(const std::string &object, uint32_t chunk_id) const
-{
-    auto it = index_.find({object, chunk_id});
-    return it == index_.end() ? nullptr : it->second->decoded;
 }
 
 void

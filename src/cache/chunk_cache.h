@@ -1,11 +1,13 @@
 /**
  * @file
- * Coordinator hot-chunk cache. A bounded (capacity in bytes) cache of
- * raw chunk bytes, with an optional decoded-column layer attached once
- * a resident chunk has been decoded. Residency bends the per-chunk
- * Cost Equation (query/cost.h): a cached chunk makes coordinator-side
- * evaluation free of wire and disk cost, so the planner's verdict
- * flips to "local" regardless of selectivity x compressibility.
+ * Coordinator hot-chunk cache. A bounded (capacity in bytes) record of
+ * which chunks the coordinator holds and how large each is; residency
+ * and size are all it keeps. Query results come from the store's data
+ * plane, so no caller needs the bytes themselves. Residency
+ * bends the per-chunk Cost Equation (query/cost.h): a cached chunk
+ * makes coordinator-side evaluation free of wire and disk cost (only
+ * the row-selection pass is charged), so the planner's verdict flips
+ * to "local" regardless of selectivity x compressibility.
  *
  * Eviction is SIEVE (FIFO queue + visited bits + a lazily moving
  * hand): newly admitted entries start unvisited at the queue head;
@@ -28,13 +30,10 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
-#include "format/column.h"
 #include "obs/metrics.h"
 
 namespace fusion::cache {
@@ -60,35 +59,22 @@ class ChunkCache
     /**
      * Counted residency probe: tallies a hit or miss, and on a hit
      * sets the entry's visited bit (its SIEVE survival ticket).
-     * Returns the raw chunk bytes, or nullptr on miss.
+     * Returns true on a hit.
      */
-    std::shared_ptr<const Bytes> lookup(const std::string &object,
-                                        uint32_t chunk_id);
+    bool lookup(const std::string &object, uint32_t chunk_id);
 
     /** Uncounted residency probe (tests and idempotent admission). */
     bool contains(const std::string &object, uint32_t chunk_id) const;
 
     /**
-     * Admits a chunk's raw bytes, evicting from the hand position
+     * Admits a chunk of `size` bytes, evicting from the hand position
      * until it fits. Oversized (> capacity) and empty chunks are
-     * rejected. Re-admitting a resident chunk just marks it visited.
-     * Returns true when the chunk is resident on return.
+     * rejected. Re-admitting a resident chunk just marks it visited
+     * (its size is kept). Returns true when the chunk is resident on
+     * return.
      */
     bool admit(const std::string &object, uint32_t chunk_id,
-               std::shared_ptr<const Bytes> bytes);
-
-    /**
-     * Attaches a decoded-column layer to a resident chunk (no-op on
-     * a miss). The decoded form rides along for accounting — only the
-     * raw byte size counts against capacity, matching the store's
-     * decode-memoization being a separate experiment-speed artifact.
-     */
-    void attachDecoded(const std::string &object, uint32_t chunk_id,
-                       std::shared_ptr<const format::ColumnData> decoded);
-
-    /** Decoded layer of a resident chunk, or nullptr. Uncounted. */
-    std::shared_ptr<const format::ColumnData>
-    decoded(const std::string &object, uint32_t chunk_id) const;
+               uint64_t size);
 
     /** Drops one chunk (no-op if absent). Degraded reads call this so
      *  reconstruction-touched chunks never claim residency. */
@@ -108,8 +94,8 @@ class ChunkCache
     uint64_t evictions() const { return evictions_; }
     /** New entries accepted (re-admissions of resident chunks are not
      *  counted). The admission window's convert-to-shared-fetch path
-     *  asserts on this: a mid-window conversion must land the chunk's
-     *  bytes here exactly once. */
+     *  asserts on this: a mid-window conversion must admit the chunk
+     *  exactly once. */
     uint64_t admissions() const { return admissions_; }
 
     /**
@@ -126,8 +112,6 @@ class ChunkCache
   private:
     struct Slot {
         Key key;
-        std::shared_ptr<const Bytes> bytes;
-        std::shared_ptr<const format::ColumnData> decoded;
         uint64_t size = 0;
         bool visited = false;
     };

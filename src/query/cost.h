@@ -43,43 +43,6 @@ decideProjectionPushdown(double selectivity, const format::ChunkMeta &chunk)
 }
 
 /**
- * Cache-aware Cost Equation (coordinator hot-chunk cache tier). A
- * chunk resident in the coordinator cache zeroes the fetch side of the
- * equation — the bytes are already local, so neither the pushdown
- * reply nor the chunk fetch crosses the wire. Local evaluation
- * dominates both alternatives regardless of the
- * selectivity x compressibility product (EXPLAIN verdict "local",
- * reason "cached-local"); the base decision is kept so reports can
- * show the terms the residency flipped.
- */
-struct CachedPushdownDecision {
-    /** True when cache residency overrides the wire-cost verdict. */
-    bool local = false;
-    /** What the Cost Equation alone would have decided. */
-    PushdownDecision base;
-};
-
-/** Applies the cache-aware Cost Equation to one chunk. */
-inline CachedPushdownDecision
-decideProjectionPushdownCached(bool cache_resident, double selectivity,
-                               const format::ChunkMeta &chunk)
-{
-    CachedPushdownDecision decision;
-    decision.base = decideProjectionPushdown(selectivity, chunk);
-    decision.local = cache_resident;
-    return decision;
-}
-
-/** Estimated wire bytes of a pushed-down projection reply. */
-inline uint64_t
-estimateProjectionReplyBytes(double selectivity,
-                             const format::ChunkMeta &chunk)
-{
-    return static_cast<uint64_t>(selectivity *
-                                 static_cast<double>(chunk.plainSize));
-}
-
-/**
  * Shared-scan extension of the Cost Equation. When several concurrent
  * queries project the same chunk, the scheduler merges compatible
  * pushdown requests; the per-query equation no longer applies because

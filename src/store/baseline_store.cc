@@ -26,7 +26,7 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
 
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
-    plan.outcome.result = plane.value().result;
+    plan.outcome.result = plane.value()->result;
 
     // Distinct columns the query touches, filter columns first.
     std::vector<size_t> columns;
@@ -42,7 +42,7 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
     // Single stage: fetch every needed chunk (in pieces, from wherever
     // the fixed-block layout scattered them) and evaluate locally.
     for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!plane.value().rowGroupBitmaps[rg].has_value()) {
+        if (!plane.value()->rowGroupBitmaps[rg].has_value()) {
             ++plan.outcome.rowGroupsSkipped;
             continue;
         }
@@ -66,13 +66,9 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
                 coord_work += chunkSelectWork(chunk);
             // Even the fetch-everything baseline benefits from the
             // coordinator hot-chunk cache: a resident chunk skips the
-            // wire and disk entirely (decoded layer also skips the
-            // decompress pass).
-            auto cached = cacheLookupChunk(manifest, chunk_id);
-            if (cached.hit) {
-                double local_work =
-                    cached.decoded ? chunkSelectWork(chunk)
-                                   : chunkDecodeWork(chunk);
+            // wire, the disk and the decompress pass entirely.
+            if (cacheLookupChunk(manifest, chunk_id)) {
+                double local_work = chunkSelectWork(chunk);
                 if (is_filter_col && is_proj_col)
                     local_work += chunkSelectWork(chunk);
                 SimTask task{plan.coordinatorId, 0, 0, 0.0, 0, local_work,

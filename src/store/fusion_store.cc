@@ -42,7 +42,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
     auto plane_r = executeDataPlane(manifest, q);
     if (!plane_r.isOk())
         return plane_r.status();
-    const DataPlane &plane = plane_r.value();
+    const DataPlane &plane = *plane_r.value();
 
     const format::FileMetadata &meta = manifest.fileMeta;
     const format::Schema &schema = meta.schema;
@@ -101,14 +101,11 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             const format::ChunkMeta &chunk = meta.chunk(rg, col);
             uint32_t chunk_id = manifest.chunkIdFor(rg, col);
             // Cache residency wins over node health AND the wire math:
-            // a resident chunk filters at the coordinator for pure CPU
-            // cost, no request, disk or reply bytes.
-            auto cached = cacheLookupChunk(manifest, chunk_id);
-            if (cached.hit) {
+            // a resident chunk filters at the coordinator for the
+            // selection pass alone, no request, disk or reply bytes.
+            if (cacheLookupChunk(manifest, chunk_id)) {
                 SimTask task{plan.coordinatorId, 0, 0, 0.0, 0,
-                             cached.decoded ? chunkSelectWork(chunk)
-                                            : chunkDecodeWork(chunk),
-                             "cached_local"};
+                             chunkSelectWork(chunk), "cached_local"};
                 task.chunkId = chunk_id;
                 plan.filterTasks.push_back(std::move(task));
                 ++plan.outcome.filterChunkCached;
@@ -174,10 +171,9 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             // The Cost Equation inputs are computed for every chunk so
             // EXPLAIN can report them even when residency or health
             // overrides the verdict.
-            auto cached = cacheLookupChunk(manifest, chunk_id);
-            auto cached_decision = query::decideProjectionPushdownCached(
-                cached.hit, plane.selectivity, chunk);
-            const query::PushdownDecision &decision = cached_decision.base;
+            const bool cached = cacheLookupChunk(manifest, chunk_id);
+            const query::PushdownDecision decision =
+                query::decideProjectionPushdown(plane.selectivity, chunk);
             auto record = [&](const char *verdict, const char *reason) {
                 if (!explain)
                     return;
@@ -192,14 +188,12 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                      verdict, std::move(why)});
             };
 
-            if (cached_decision.local) {
-                // Resident at the coordinator: evaluate locally. No
-                // wire, no disk — only the decode (or, with a decoded
-                // layer attached, just the row-selection pass).
+            if (cached) {
+                // Resident at the coordinator: evaluate locally whatever
+                // the Cost Equation says. No wire, no disk — only the
+                // row-selection pass.
                 SimTask task{plan.coordinatorId, 0, 0, 0.0, 0,
-                             cached.decoded ? chunkSelectWork(chunk)
-                                            : chunkDecodeWork(chunk),
-                             "cached_local"};
+                             chunkSelectWork(chunk), "cached_local"};
                 task.chunkId = chunk_id;
                 plan.projectionTasks.push_back(std::move(task));
                 ++plan.outcome.projectionCachedLocal;

@@ -65,8 +65,6 @@ ObjectStore::ObjectStore(sim::Cluster &cluster, const StoreOptions &options)
     ins_.backoffSeconds = &reg.doubleCounter("fault.backoff_seconds");
     ins_.cacheDecodeHit = &reg.counter("cache.decode.hit");
     ins_.cacheDecodeMiss = &reg.counter("cache.decode.miss");
-    ins_.cacheBitmapHit = &reg.counter("cache.bitmap.hit");
-    ins_.cacheBitmapMiss = &reg.counter("cache.bitmap.miss");
     ins_.cachePlanHit = &reg.counter("cache.plan.hit");
     ins_.cachePlanMiss = &reg.counter("cache.plan.miss");
     ins_.wireFilterRequest = &reg.counter("wire.filter.request_bytes");
@@ -185,7 +183,7 @@ ObjectStore::deleteObject(const std::string &name)
     // and the chunk-heat entries (including "@gN" / "#delta" aliases)
     // all go — a later re-stripe or fusion_top must never see them.
     chunkCache_.invalidateObject(name);
-    purgeObjectMemo(name);
+    memo_.erase(name);
     obs_.telemetry.heat().evictObject(name);
     manifests_.erase(it);
     return Status::ok();
@@ -726,30 +724,6 @@ ObjectStore::dropDeltaBlocks(const lifecycle::DeltaLog &log,
     }
 }
 
-void
-ObjectStore::purgeObjectMemo(const std::string &name)
-{
-    for (auto it = decodeCache_.begin(); it != decodeCache_.end();) {
-        if (it->first.first == name)
-            it = decodeCache_.erase(it);
-        else
-            ++it;
-    }
-    for (auto it = bitmapCache_.begin(); it != bitmapCache_.end();) {
-        if (std::get<0>(it->first) == name)
-            it = bitmapCache_.erase(it);
-        else
-            ++it;
-    }
-    const std::string prefix = name + "|";
-    for (auto it = planCache_.begin(); it != planCache_.end();) {
-        if (it->first.compare(0, prefix.size(), prefix) == 0)
-            it = planCache_.erase(it);
-        else
-            ++it;
-    }
-}
-
 Status
 ObjectStore::compactObjectNow(const std::string &object, uint64_t seal_seq)
 {
@@ -828,7 +802,7 @@ ObjectStore::compactObjectNow(const std::string &object, uint64_t seal_seq)
     // new layout (or fusion_top) consults: residency, memoized results
     // and the heat table (with its "@gN"/"#delta" aliases) all reset.
     chunkCache_.invalidateObject(object);
-    purgeObjectMemo(object);
+    memo_.erase(object);
     obs_.telemetry.heat().evictObject(object);
     m->second = std::move(stored.value().manifest);
 
@@ -855,13 +829,10 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
                                 const query::Query &resolved,
                                 QueryPlan &plan)
 {
-    // Base-only figures are captured before any segment folds in: the
-    // AVG merge below needs the base's matched-row count.
+    // Appended values follow the base's, segment by segment — the order
+    // a fresh put of the merged table scans. Aggregate columns append
+    // alike; planQueryForBatch reduces them afterwards.
     query::QueryResult &res = plan.outcome.result;
-    const uint64_t base_matched = res.rowsMatched;
-
-    uint64_t delta_scanned = 0, delta_matched = 0;
-    std::vector<format::ColumnData> delta_values(res.columns.size());
     std::vector<obs::ExplainChunk> delta_explains;
     const double now = cluster_.engine().now();
 
@@ -905,17 +876,11 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
             now, manifest.shareName() + "#delta",
             static_cast<uint32_t>(segment.seq));
 
-        delta_scanned += sr.rowsScanned;
-        delta_matched += sr.rowsMatched;
-        for (size_t i = 0; i < sr.selected.size(); ++i) {
-            const format::ColumnData &sel = sr.selected[i];
-            if (sel.size() == 0)
-                continue;
-            if (delta_values[i].size() == 0)
-                delta_values[i] = sel;
-            else
-                delta_values[i].append(sel);
-        }
+        res.rowsScanned += sr.rowsScanned;
+        res.rowsMatched += sr.rowsMatched;
+        for (size_t i = 0; i < sr.selected.size(); ++i)
+            if (sr.selected[i].size() != 0)
+                res.columns[i].values.append(sr.selected[i]);
         plan.outcome.rowGroupsScanned += sr.rowGroups.size();
         plan.outcome.rowGroupsSkipped +=
             segment.meta.numRowGroups() - sr.rowGroups.size();
@@ -929,69 +894,6 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
                  : static_cast<double>(sr.rowsMatched) /
                        static_cast<double>(sr.rowsScanned),
              1.0, "delta", "delta-log"});
-    }
-
-    res.rowsScanned += delta_scanned;
-    res.rowsMatched += delta_matched;
-    for (size_t i = 0; i < res.columns.size(); ++i) {
-        query::ProjectionResult &col = res.columns[i];
-        const query::Projection &proj = resolved.projections.at(i);
-        if (!col.isAggregate) {
-            // An untouched accumulator is still default-typed.
-            if (delta_values[i].size() != 0)
-                col.values.append(delta_values[i]);
-            continue;
-        }
-        const uint64_t dn = delta_values[i].size();
-        switch (proj.aggregate) {
-          case query::AggregateKind::kCount:
-            col.aggregateValue += static_cast<double>(
-                proj.isCountStar() ? delta_matched : dn);
-            break;
-          case query::AggregateKind::kSum: {
-            if (dn == 0)
-                break;
-            auto sum = query::computeAggregate(
-                query::AggregateKind::kSum, delta_values[i]);
-            if (!sum.isOk())
-                return sum.status();
-            col.aggregateValue += sum.value();
-            break;
-          }
-          case query::AggregateKind::kAvg: {
-            if (dn == 0)
-                break;
-            auto sum = query::computeAggregate(
-                query::AggregateKind::kSum, delta_values[i]);
-            if (!sum.isOk())
-                return sum.status();
-            col.aggregateValue =
-                (col.aggregateValue * static_cast<double>(base_matched) +
-                 sum.value()) /
-                static_cast<double>(base_matched + dn);
-            break;
-          }
-          case query::AggregateKind::kMin:
-          case query::AggregateKind::kMax: {
-            if (dn == 0)
-                break;
-            auto extremum =
-                query::computeAggregate(proj.aggregate, delta_values[i]);
-            if (!extremum.isOk())
-                return extremum.status();
-            if (base_matched == 0)
-                col.aggregateValue = extremum.value();
-            else if (proj.aggregate == query::AggregateKind::kMin)
-                col.aggregateValue =
-                    std::min(col.aggregateValue, extremum.value());
-            else
-                col.aggregateValue =
-                    std::max(col.aggregateValue, extremum.value());
-            break;
-          }
-          case query::AggregateKind::kNone:
-            break;
-        }
     }
 
     if (plan.outcome.explain != nullptr && !delta_explains.empty()) {
@@ -1374,6 +1276,14 @@ ObjectStore::resolveQuery(const query::Query &q,
             auto idx = schema.columnIndex(proj.column);
             if (!idx.isOk())
                 return idx.status();
+            // Aggregates reduce only after planning; reject this before
+            // planning touches the chunk cache or the heat table.
+            if (proj.aggregate != query::AggregateKind::kNone &&
+                proj.aggregate != query::AggregateKind::kCount &&
+                schema.column(idx.value()).physical ==
+                    format::PhysicalType::kString)
+                return Status::invalidArgument(
+                    "numeric aggregate over a string column");
         }
         resolved.projections.push_back(proj);
     }
@@ -1385,77 +1295,25 @@ ObjectStore::resolveQuery(const query::Query &q,
     return resolved;
 }
 
-Result<std::shared_ptr<const format::ColumnData>>
-ObjectStore::decodedChunk(const ObjectManifest &manifest, size_t row_group,
-                          size_t column)
-{
-    uint32_t chunk_id = manifest.chunkIdFor(row_group, column);
-    auto key = std::make_pair(manifest.name, uint64_t{chunk_id});
-    auto it = decodeCache_.find(key);
-    if (it != decodeCache_.end()) {
-        ins_.cacheDecodeHit->add(1);
-        return it->second;
-    }
-    ins_.cacheDecodeMiss->add(1);
-
-    auto bytes = readChunkBytes(manifest, chunk_id);
-    if (!bytes.isOk())
-        return bytes.status();
-    auto decoded = format::decodeChunk(
-        Slice(bytes.value()),
-        manifest.fileMeta.schema.column(column).physical);
-    if (!decoded.isOk())
-        return decoded.status();
-    auto shared = std::make_shared<const format::ColumnData>(
-        std::move(decoded.value()));
-    decodeCache_.emplace(std::move(key), shared);
-    return std::static_pointer_cast<const format::ColumnData>(shared);
-}
-
-Result<std::shared_ptr<const query::Bitmap>>
-ObjectStore::chunkFilterBitmap(const ObjectManifest &manifest,
-                               size_t row_group, size_t column,
-                               const query::Predicate &pred)
-{
-    std::string pred_key = pred.column + compareOpName(pred.op) +
-                           pred.literal.toString();
-    auto key = std::make_tuple(
-        manifest.name, uint64_t{manifest.chunkIdFor(row_group, column)},
-        std::move(pred_key));
-    auto it = bitmapCache_.find(key);
-    if (it != bitmapCache_.end()) {
-        ins_.cacheBitmapHit->add(1);
-        return it->second;
-    }
-    ins_.cacheBitmapMiss->add(1);
-
-    auto chunk = decodedChunk(manifest, row_group, column);
-    if (!chunk.isOk())
-        return chunk.status();
-    auto bitmap = query::evalPredicate(*chunk.value(), pred.op,
-                                       pred.literal);
-    if (!bitmap.isOk())
-        return bitmap.status();
-    auto shared = std::make_shared<const query::Bitmap>(
-        std::move(bitmap.value()));
-    bitmapCache_.emplace(std::move(key), shared);
-    return std::static_pointer_cast<const query::Bitmap>(shared);
-}
-
 Status
 ObjectStore::prefetchDecodedChunks(
     const ObjectManifest &manifest,
     const std::vector<std::pair<size_t, size_t>> &rg_cols)
 {
-    // Dedupe against the cache (and within the request) first.
+    // Dedupe within the request, then against the memo: one decode
+    // hit or miss per distinct chunk.
+    ObjectMemo &memo = memo_[manifest.name];
     std::vector<std::pair<size_t, size_t>> todo;
     std::set<uint32_t> seen;
     for (const auto &[rg, col] : rg_cols) {
         uint32_t chunk_id = manifest.chunkIdFor(rg, col);
         if (!seen.insert(chunk_id).second)
             continue;
-        if (decodeCache_.count({manifest.name, uint64_t{chunk_id}}) > 0)
+        if (memo.chunks.count(chunk_id) > 0) {
+            ins_.cacheDecodeHit->add(1);
             continue;
+        }
+        ins_.cacheDecodeMiss->add(1);
         todo.emplace_back(rg, col);
     }
     if (todo.empty())
@@ -1482,29 +1340,28 @@ ObjectStore::prefetchDecodedChunks(
             manifest.fileMeta.schema.column(todo[i].second).physical);
     });
 
-    // Phase 3 (serial): surface errors in index order, fill the cache.
+    // Phase 3 (serial): surface errors in index order, fill the memo.
     for (size_t i = 0; i < todo.size(); ++i) {
         if (!decoded[i].isOk())
             return decoded[i].status();
-        uint32_t chunk_id =
-            manifest.chunkIdFor(todo[i].first, todo[i].second);
-        decodeCache_.emplace(
-            std::make_pair(manifest.name, uint64_t{chunk_id}),
-            std::make_shared<const format::ColumnData>(
-                std::move(decoded[i].value())));
+        memo.chunks.emplace(
+            manifest.chunkIdFor(todo[i].first, todo[i].second),
+            std::move(decoded[i].value()));
     }
     return Status::ok();
 }
 
-Result<ObjectStore::DataPlane>
+Result<const ObjectStore::DataPlane *>
 ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                               const query::Query &q)
 {
-    std::string cache_key = manifest.name + "|" + q.toString();
-    auto cached = planCache_.find(cache_key);
-    if (cached != planCache_.end()) {
+    // Taken once: the parallel loops below only read the memo.
+    ObjectMemo &memo = memo_[manifest.name];
+    std::string plane_key = q.toString();
+    auto cached = memo.planes.find(plane_key);
+    if (cached != memo.planes.end()) {
         ins_.cachePlanHit->add(1);
-        return *cached->second;
+        return &cached->second;
     }
     ins_.cachePlanMiss->add(1);
 
@@ -1513,95 +1370,65 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     DataPlane plane;
 
     // Zone-map pruning (metadata only) decides which row groups scan.
-    std::vector<bool> scan_rg(meta.numRowGroups(), true);
+    std::vector<size_t> scanned;
     for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
+        bool may_match = true;
         for (const auto &pred : q.filters) {
             size_t col = schema.columnIndex(pred.column).value();
             if (!query::chunkMayMatch(meta.chunk(rg, col), pred)) {
-                scan_rg[rg] = false;
+                may_match = false;
                 break;
             }
         }
+        if (may_match)
+            scanned.push_back(rg);
     }
 
     // Decode every filter chunk the scan will touch, concurrently
     // (fetch stays serial inside; see prefetchDecodedChunks), then
-    // evaluate all missing per-chunk predicate bitmaps concurrently —
-    // both are pure CPU work inside this one simulated event.
+    // evaluate every (row group, predicate) bitmap concurrently — both
+    // are pure CPU work inside this one simulated event.
     std::vector<std::pair<size_t, size_t>> filter_chunks;
-    for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!scan_rg[rg])
-            continue;
+    for (size_t rg : scanned)
         for (const auto &col_name : q.filterColumns())
             filter_chunks.emplace_back(
                 rg, schema.columnIndex(col_name).value());
-    }
     FUSION_RETURN_IF_ERROR(prefetchDecodedChunks(manifest, filter_chunks));
 
-    struct BitmapTask {
-        size_t rg;
-        size_t col;
-        const query::Predicate *pred;
-        std::tuple<std::string, uint64_t, std::string> key;
-        Result<query::Bitmap> result = query::Bitmap();
-    };
-    std::vector<BitmapTask> bitmap_tasks;
-    for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!scan_rg[rg])
-            continue;
-        for (const auto &pred : q.filters) {
-            size_t col = schema.columnIndex(pred.column).value();
-            auto key = std::make_tuple(
-                manifest.name, uint64_t{manifest.chunkIdFor(rg, col)},
-                pred.column + compareOpName(pred.op) +
-                    pred.literal.toString());
-            if (bitmapCache_.count(key) > 0)
-                continue;
-            bitmap_tasks.push_back(
-                {rg, col, &pred, std::move(key), query::Bitmap()});
-        }
-    }
+    const size_t nf = q.filters.size();
+    std::vector<size_t> pred_cols(nf);
+    for (size_t p = 0; p < nf; ++p)
+        pred_cols[p] = schema.columnIndex(q.filters[p].column).value();
+    // Slot s * nf + p holds predicate p over row group scanned[s].
+    std::vector<Result<query::Bitmap>> pred_bitmaps(
+        scanned.size() * nf, Result<query::Bitmap>(query::Bitmap()));
     ThreadPool::shared().parallelFor(
-        0, bitmap_tasks.size(), [&](size_t i) {
-            BitmapTask &task = bitmap_tasks[i];
-            auto chunk = decodeCache_.find(
-                {manifest.name,
-                 uint64_t{manifest.chunkIdFor(task.rg, task.col)}});
-            FUSION_CHECK(chunk != decodeCache_.end());
-            task.result = query::evalPredicate(
-                *chunk->second, task.pred->op, task.pred->literal);
+        0, pred_bitmaps.size(), [&](size_t i) {
+            const size_t rg = scanned[i / nf], p = i % nf;
+            const query::Predicate &pred = q.filters[p];
+            pred_bitmaps[i] = query::evalPredicate(
+                memo.chunks.at(manifest.chunkIdFor(rg, pred_cols[p])),
+                pred.op, pred.literal);
         });
-    for (auto &task : bitmap_tasks) {
-        if (!task.result.isOk())
-            return task.result.status();
-        bitmapCache_.emplace(std::move(task.key),
-                             std::make_shared<const query::Bitmap>(
-                                 std::move(task.result.value())));
-    }
+    for (const auto &bitmap : pred_bitmaps)
+        if (!bitmap.isOk())
+            return bitmap.status();
 
     // ---- filter stage (real) ----
     uint64_t matched = 0;
     plane.rowGroupBitmaps.resize(meta.numRowGroups());
     plane.rowGroupBitmapWireSize.assign(meta.numRowGroups(), 0);
-    for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!scan_rg[rg])
-            continue; // skipped row group: nullopt bitmap
-
+    for (size_t s = 0; s < scanned.size(); ++s) {
+        const size_t rg = scanned[s];
         query::Bitmap bitmap(meta.rowGroups[rg].numRows, true);
         // Predicates grouped per column: a storage node ANDs all
         // predicates on its chunk and returns one bitmap.
         for (const auto &col_name : q.filterColumns()) {
             size_t col = schema.columnIndex(col_name).value();
             query::Bitmap col_bitmap(meta.rowGroups[rg].numRows, true);
-            for (const auto &pred : q.filters) {
-                if (pred.column != col_name)
-                    continue;
-                auto chunk_bitmap =
-                    chunkFilterBitmap(manifest, rg, col, pred);
-                if (!chunk_bitmap.isOk())
-                    return chunk_bitmap.status();
-                col_bitmap.intersect(*chunk_bitmap.value());
-            }
+            for (size_t p = 0; p < nf; ++p)
+                if (q.filters[p].column == col_name)
+                    col_bitmap.intersect(pred_bitmaps[s * nf + p].value());
             plane.filterReplyWireSize[{rg, col}] =
                 col_bitmap.compressedWireSize();
             bitmap.intersect(col_bitmap);
@@ -1641,11 +1468,8 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
             const auto &bitmap = plane.rowGroupBitmaps[rg];
             if (!bitmap.has_value() || bitmap->count() == 0)
                 continue;
-            auto chunk = decodedChunk(manifest, rg, col);
-            if (!chunk.isOk())
-                return chunk.status();
-            format::ColumnData selected =
-                query::selectRows(*chunk.value(), *bitmap);
+            format::ColumnData selected = query::selectRows(
+                memo.chunks.at(manifest.chunkIdFor(rg, col)), *bitmap);
             plane.projectionReplySize[{rg, col}] =
                 selected.plainEncodedSize();
             values.append(selected);
@@ -1653,31 +1477,23 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
         projected.emplace(name, std::move(values));
     }
 
+    // Aggregates keep their selected values (COUNT(*) has none); they
+    // reduce once, after any delta merge, in planQueryForBatch.
     for (const auto &proj : q.projections) {
         query::ProjectionResult out;
-        if (proj.aggregate != query::AggregateKind::kNone) {
-            out.isAggregate = true;
-            out.name = std::string(aggregateKindName(proj.aggregate)) +
-                       "(" + (proj.isCountStar() ? "*" : proj.column) + ")";
-            if (proj.isCountStar()) {
-                out.aggregateValue = static_cast<double>(matched);
-            } else {
-                auto agg = query::computeAggregate(
-                    proj.aggregate, projected.at(proj.column));
-                if (!agg.isOk())
-                    return agg.status();
-                out.aggregateValue = agg.value();
-            }
-        } else {
-            out.name = proj.column;
+        out.isAggregate = proj.aggregate != query::AggregateKind::kNone;
+        out.name = out.isAggregate
+                       ? std::string(aggregateKindName(proj.aggregate)) +
+                             "(" +
+                             (proj.isCountStar() ? "*" : proj.column) + ")"
+                       : proj.column;
+        if (!proj.isCountStar())
             out.values = projected.at(proj.column);
-        }
         plane.result.columns.push_back(std::move(out));
     }
 
-    auto shared = std::make_shared<const DataPlane>(std::move(plane));
-    planCache_.emplace(std::move(cache_key), shared);
-    return *shared;
+    return &memo.planes.emplace(std::move(plane_key), std::move(plane))
+                .first->second;
 }
 
 bool
@@ -1703,34 +1519,29 @@ ObjectStore::chunkPushdownState(const ObjectManifest &manifest,
 void
 ObjectStore::dropCaches()
 {
-    // Memoization caches only; the semantic hot-chunk cache survives
-    // (it is kept correct by invalidation, not recomputation).
-    decodeCache_.clear();
-    bitmapCache_.clear();
-    planCache_.clear();
+    // The memo only; the semantic hot-chunk cache survives (it is kept
+    // correct by invalidation, not recomputation).
+    memo_.clear();
 }
 
-ObjectStore::CacheLookup
+bool
 ObjectStore::cacheLookupChunk(const ObjectManifest &manifest,
                               uint32_t chunk_id)
 {
-    CacheLookup out;
     // Every counted probe is an access for the chunk-heat table,
     // whether or not the cache tier is on — the heat signal must
     // exist before anyone sizes a cache (or re-stripes) from it.
     obs_.telemetry.heat().recordAccess(cluster_.engine().now(),
                                        manifest.shareName(), chunk_id);
     if (!chunkCache_.enabled())
-        return out;
+        return false;
     uint64_t span = obs_.tracer.beginSpan(
         "cache_lookup",
         "\"chunk\": " + std::to_string(chunk_id) + ", \"object\": \"" +
             manifest.name + "\"");
-    out.hit = chunkCache_.lookup(manifest.name, chunk_id) != nullptr;
-    out.decoded =
-        out.hit && chunkCache_.decoded(manifest.name, chunk_id) != nullptr;
+    const bool hit = chunkCache_.lookup(manifest.name, chunk_id);
     obs_.tracer.endSpan(span);
-    return out;
+    return hit;
 }
 
 bool
@@ -1739,36 +1550,24 @@ ObjectStore::cacheAdmitChunk(const ObjectManifest &manifest,
 {
     if (!chunkCache_.enabled())
         return false;
-    if (chunkCache_.contains(manifest.name, chunk_id)) {
-        // Refresh the SIEVE visited bit without re-assembling bytes.
-        return chunkCache_.admit(manifest.name, chunk_id, nullptr);
+    // A resident chunk just refreshes its SIEVE visited bit. A new one
+    // models the coordinator keeping bytes it already moved, so it must
+    // not count extra fault-path work — and degraded bytes never enter
+    // the cache: every piece must sit whole on a responsive node.
+    if (!chunkCache_.contains(manifest.name, chunk_id)) {
+        for (const auto &piece : manifest.chunkPieces.at(chunk_id)) {
+            const sim::StorageNode &node = cluster_.node(
+                manifest.stripeNodes[piece.stripe][piece.blockIndex]);
+            if (!nodeResponsive(node))
+                return false;
+            const Bytes *block = node.findBlock(
+                manifest.blockKey(piece.stripe, piece.blockIndex));
+            if (!block || piece.blockOffset + piece.size > block->size())
+                return false;
+        }
     }
-    // Assemble directly from node block maps: admission models the
-    // coordinator keeping bytes it already moved, so it must not count
-    // extra fault-path work — and degraded bytes never enter the cache.
-    const fac::ChunkExtent &extent = manifest.extents.at(chunk_id);
-    auto bytes = std::make_shared<Bytes>(extent.size);
-    for (const auto &piece : manifest.chunkPieces.at(chunk_id)) {
-        const sim::StorageNode &node = cluster_.node(
-            manifest.stripeNodes[piece.stripe][piece.blockIndex]);
-        if (!nodeResponsive(node))
-            return false;
-        const Bytes *block =
-            node.findBlock(manifest.blockKey(piece.stripe, piece.blockIndex));
-        if (!block || piece.blockOffset + piece.size > block->size())
-            return false;
-        std::copy(block->begin() + piece.blockOffset,
-                  block->begin() + piece.blockOffset + piece.size,
-                  bytes->begin() + piece.chunkOffset);
-    }
-    if (!chunkCache_.admit(manifest.name, chunk_id, std::move(bytes)))
-        return false;
-    // Attach the decoded layer when the memoization cache already has
-    // it: local evaluation then skips the decompress/decode pass.
-    auto decoded = decodeCache_.find({manifest.name, uint64_t{chunk_id}});
-    if (decoded != decodeCache_.end())
-        chunkCache_.attachDecoded(manifest.name, chunk_id, decoded->second);
-    return true;
+    return chunkCache_.admit(manifest.name, chunk_id,
+                             manifest.extents.at(chunk_id).size);
 }
 
 bool
@@ -2117,6 +1916,23 @@ ObjectStore::planQueryForBatch(const query::Query &q)
                                            resolved.value(), *shared);
         if (!merged.isOk())
             return merged;
+    }
+    // Each aggregate reduces once, over base-then-delta values.
+    query::QueryResult &res = shared->outcome.result;
+    for (size_t i = 0; i < res.columns.size(); ++i) {
+        query::ProjectionResult &col = res.columns[i];
+        if (!col.isAggregate)
+            continue;
+        const query::Projection &proj = resolved.value().projections[i];
+        if (proj.isCountStar()) {
+            col.aggregateValue = static_cast<double>(res.rowsMatched);
+        } else {
+            auto agg = query::computeAggregate(proj.aggregate, col.values);
+            if (!agg.isOk())
+                return agg.status();
+            col.aggregateValue = agg.value();
+        }
+        col.values = format::ColumnData();
     }
     FUSION_RETURN_IF_ERROR(encodeClientReply(*m.value(), *shared));
     return shared;

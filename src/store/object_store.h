@@ -3,9 +3,9 @@
  * The analytics object store core. ObjectStore implements the shared
  * machinery — Put (layout + erasure coding + placement), Get (chunk
  * reassembly with degraded reads through RS recovery), node repair,
- * the data plane (real decode / filter / projection with memoization)
- * and the DES query timing flow. Subclasses define how objects are
- * laid out and how queries are planned:
+ * the data plane (real decode / filter / projection) and the DES query
+ * timing flow. Subclasses define how objects are laid out and how
+ * queries are planned:
  *
  *   BaselineStore — fixed-size blocks (MinIO/Ceph practice): chunks
  *                   split across nodes; queries reassemble chunks at a
@@ -16,8 +16,9 @@
  * Query execution is hybrid: results are computed on real bytes (and
  * are identical across stores — asserted in tests), while elapsed time
  * is charged to simulated disk/NIC/CPU resources from the byte counts
- * the plan moves. Repeated identical work is memoized so thousand-query
- * experiments run in seconds.
+ * the plan moves. One per-object memo (decoded chunks and data planes)
+ * skips repeated identical work so thousand-query experiments run in
+ * seconds; it never changes a result or a simulated charge.
  */
 #ifndef FUSION_STORE_OBJECT_STORE_H
 #define FUSION_STORE_OBJECT_STORE_H
@@ -275,11 +276,11 @@ class ObjectStore : public lifecycle::CompactionHost
     const obs::Observability &obs() const { return obs_; }
 
     /**
-     * Drops the decode/bitmap/plan memoization caches so subsequent
-     * reads hit the (possibly faulted) nodes again. Fault tests use
-     * this to force re-execution of the degraded read path. The
-     * semantic hot-chunk cache (chunkCache()) is NOT dropped — it
-     * models coordinator state and is kept correct by invalidation.
+     * Clears the data-plane memo so subsequent reads hit the (possibly
+     * faulted) nodes again. Fault tests use this to force re-execution
+     * of the degraded read path. The semantic hot-chunk cache
+     * (chunkCache()) is NOT dropped — it models coordinator state and
+     * is kept correct by invalidation.
      */
     void dropCaches();
 
@@ -376,8 +377,10 @@ class ObjectStore : public lifecycle::CompactionHost
     /**
      * Resolves and plans a query without simulating it. Fault deltas
      * observed during planning (parity rebuilds, retries, backoff) are
-     * folded into the plan; the admission window plans each query at
-     * submit and starts its stage DAG later.
+     * folded into the plan, live delta segments merge in, and each
+     * aggregate reduces once (query::computeAggregate) before the client
+     * reply is encoded. The admission window plans each query at submit
+     * and starts its stage DAG later.
      */
     Result<std::shared_ptr<QueryPlan>>
     planQueryForBatch(const query::Query &q);
@@ -439,13 +442,13 @@ class ObjectStore : public lifecycle::CompactionHost
     const cache::ChunkCache &chunkCache() const { return chunkCache_; }
 
     /**
-     * Admits one chunk's raw bytes into the coordinator cache, pulling
-     * pieces directly from healthy nodes' block maps (no fault
-     * accounting — this models the coordinator retaining bytes it
-     * already moved). Refuses when the cache is off, the object is
-     * unknown, or any holding node is unresponsive (degraded bytes
-     * never enter the cache). The shared-scan scheduler calls this
-     * after converting a merged pushdown into a fetch.
+     * Admits one chunk into the coordinator cache, checking its pieces
+     * directly against the nodes' block maps (no fault accounting —
+     * this models the coordinator retaining bytes it already moved).
+     * Refuses when the cache is off, the object is unknown, any holding
+     * node is unresponsive or a block is shorter than its piece
+     * (degraded bytes never enter the cache). The shared-scan scheduler
+     * calls this after converting a merged pushdown into a fetch.
      */
     bool admitChunkToCache(const std::string &object, uint32_t chunk_id);
 
@@ -499,29 +502,22 @@ class ObjectStore : public lifecycle::CompactionHost
     Result<Bytes> readChunkBytes(const ObjectManifest &manifest,
                                  uint32_t chunk_id);
 
-    /** Decoded column chunk, cached. */
-    Result<std::shared_ptr<const format::ColumnData>>
-    decodedChunk(const ObjectManifest &manifest, size_t row_group,
-                 size_t column);
-
     /**
-     * Warms the decode cache for a set of (row group, column) chunks:
-     * raw bytes are fetched serially (degraded reads and fault.*
-     * counters stay deterministic), then decompress/decode fans out on the
-     * shared ThreadPool. Results are bit-identical to serial decoding
-     * for any FUSION_THREADS value.
+     * Fills the object's memo with the decoded form of a set of (row
+     * group, column) chunks, counting one cache.decode.hit or miss per
+     * distinct chunk: raw bytes are fetched serially (degraded reads and
+     * fault.* counters stay deterministic), then decompress/decode fans
+     * out on the shared ThreadPool. Results are bit-identical to serial
+     * decoding for any FUSION_THREADS value.
      */
     Status prefetchDecodedChunks(
         const ObjectManifest &manifest,
         const std::vector<std::pair<size_t, size_t>> &rg_cols);
 
-    /** Filter bitmap of one predicate over one chunk, cached. */
-    Result<std::shared_ptr<const query::Bitmap>>
-    chunkFilterBitmap(const ObjectManifest &manifest, size_t row_group,
-                      size_t column, const query::Predicate &pred);
-
     /** Results of the real data-plane execution shared by planners. */
     struct DataPlane {
+        /** Aggregate columns carry their selected values here;
+         *  planQueryForBatch reduces them after the delta merge. */
         query::QueryResult result;
         /** Final ANDed bitmap per row group; empty optional = skipped
          *  via zone maps (no scan needed). */
@@ -540,9 +536,13 @@ class ObjectStore : public lifecycle::CompactionHost
         std::map<std::pair<size_t, size_t>, uint64_t> filterReplyWireSize;
     };
 
-    /** Runs filters, projections and aggregates on real data. */
-    Result<DataPlane> executeDataPlane(const ObjectManifest &manifest,
-                                       const query::Query &q);
+    /**
+     * Runs filters and projections on real data, memoized per (object,
+     * query). The pointer stays valid until the object's memo entry is
+     * dropped (dropCaches, delete, overwrite or compaction swap).
+     */
+    Result<const DataPlane *> executeDataPlane(const ObjectManifest &manifest,
+                                               const query::Query &q);
 
     /** Expands `SELECT *` and validates column names against a schema. */
     Result<query::Query> resolveQuery(const query::Query &q,
@@ -616,21 +616,14 @@ class ObjectStore : public lifecycle::CompactionHost
 
     // ---- coordinator hot-chunk cache (cache/chunk_cache.h) ----
 
-    /** What the planner learned from one counted cache probe. */
-    struct CacheLookup {
-        bool hit = false;
-        /** The entry also carries a decoded column layer, so local
-         *  evaluation skips the decompress/decode pass. */
-        bool decoded = false;
-    };
-
     /**
      * Counted residency probe (emits a `cache_lookup` span and bumps
      * cache.chunk.{hits,misses}). Planners call this once per candidate
-     * chunk; a hit flips the Cost Equation verdict to local.
+     * chunk; a hit flips the Cost Equation verdict to local, charged
+     * as the row-selection pass (chunkSelectWork): every admission
+     * followed a coordinator-side decode the admitting plan charged.
      */
-    CacheLookup cacheLookupChunk(const ObjectManifest &manifest,
-                                 uint32_t chunk_id);
+    bool cacheLookupChunk(const ObjectManifest &manifest, uint32_t chunk_id);
 
     /** admitChunkToCache against a resolved manifest. */
     bool cacheAdmitChunk(const ObjectManifest &manifest, uint32_t chunk_id);
@@ -657,8 +650,6 @@ class ObjectStore : public lifecycle::CompactionHost
         obs::DoubleCounter *backoffSeconds = nullptr;
         obs::Counter *cacheDecodeHit = nullptr;
         obs::Counter *cacheDecodeMiss = nullptr;
-        obs::Counter *cacheBitmapHit = nullptr;
-        obs::Counter *cacheBitmapMiss = nullptr;
         obs::Counter *cachePlanHit = nullptr;
         obs::Counter *cachePlanMiss = nullptr;
         obs::Counter *wireFilterRequest = nullptr;
@@ -691,8 +682,8 @@ class ObjectStore : public lifecycle::CompactionHost
     Instruments ins_;
 
     /**
-     * The semantic hot-chunk cache. Unlike the memoization caches below
-     * it survives dropCaches(): entries are kept correct by explicit
+     * The semantic hot-chunk cache. Unlike the data-plane memo below it
+     * survives dropCaches(): entries are kept correct by explicit
      * invalidation (deleteObject, degraded reads touching the chunk),
      * not by being experiment-speed artifacts.
      */
@@ -784,7 +775,8 @@ class ObjectStore : public lifecycle::CompactionHost
                                          const lifecycle::DeltaLog &log);
 
     /** Folds every live delta segment into the planned base results:
-     *  sim tasks, row/aggregate merge, EXPLAIN entries, reply bytes. */
+     *  sim tasks, appended values (base then delta, for every column
+     *  alike), row counts and EXPLAIN entries. */
     Status mergeDeltaIntoPlan(const ObjectManifest &manifest,
                               const lifecycle::DeltaLog &log,
                               const query::Query &resolved,
@@ -794,9 +786,6 @@ class ObjectStore : public lifecycle::CompactionHost
     void dropDeltaBlocks(const lifecycle::DeltaLog &log,
                          uint64_t up_to_seq);
 
-    /** Purges the decode/bitmap/plan memo entries of one object (its
-     *  content changed: delete, overwrite or compaction swap). */
-    void purgeObjectMemo(const std::string &name);
     /** Cluster fault-listener callback (crashes dump the recorder). */
     void onFaultEvent(double seconds, int kind, size_t node,
                       double slow_factor);
@@ -805,14 +794,19 @@ class ObjectStore : public lifecycle::CompactionHost
     std::vector<obs::NodeHealthTracker::Band> lastBand_;
     size_t faultListenerId_ = 0;
 
-    // caches
-    std::map<std::pair<std::string, uint64_t>,
-             std::shared_ptr<const format::ColumnData>>
-        decodeCache_;
-    std::map<std::tuple<std::string, uint64_t, std::string>,
-             std::shared_ptr<const query::Bitmap>>
-        bitmapCache_;
-    std::map<std::string, std::shared_ptr<const DataPlane>> planCache_;
+    /**
+     * The data-plane memo, one entry per object name: an experiment-speed
+     * artifact that never decides a result or a simulated charge. An
+     * entry goes whenever the object's content changes (delete,
+     * overwrite, compaction swap); dropCaches() clears them all.
+     */
+    struct ObjectMemo {
+        /** Chunk id -> decoded column. */
+        std::map<uint32_t, format::ColumnData> chunks;
+        /** Resolved query string -> its data plane. */
+        std::map<std::string, DataPlane> planes;
+    };
+    std::map<std::string, ObjectMemo> memo_;
 
     /**
      * Per-object append logs. An entry outlives an emptied log (the

@@ -31,12 +31,6 @@ namespace {
 // SIEVE unit tests.
 // ---------------------------------------------------------------------
 
-std::shared_ptr<const Bytes>
-blob(size_t size, uint8_t fill = 0xAB)
-{
-    return std::make_shared<Bytes>(size, fill);
-}
-
 std::vector<uint32_t>
 residentChunks(const cache::ChunkCache &c, const std::string &object)
 {
@@ -51,7 +45,7 @@ TEST(CacheUnitTest, ZeroCapacityCacheIsDisabled)
 {
     cache::ChunkCache c(0);
     EXPECT_FALSE(c.enabled());
-    EXPECT_FALSE(c.admit("o", 0, blob(1)));
+    EXPECT_FALSE(c.admit("o", 0, 1));
     EXPECT_FALSE(c.contains("o", 0));
     EXPECT_EQ(c.sizeBytes(), 0u);
     EXPECT_EQ(c.entryCount(), 0u);
@@ -61,16 +55,13 @@ TEST(CacheUnitTest, ZeroCapacityCacheIsDisabled)
 TEST(CacheUnitTest, AdmitAndLookupRoundTrip)
 {
     cache::ChunkCache c(100);
-    auto bytes = blob(40, 0x17);
-    ASSERT_TRUE(c.admit("o", 3, bytes));
+    ASSERT_TRUE(c.admit("o", 3, 40));
     EXPECT_EQ(c.sizeBytes(), 40u);
     EXPECT_EQ(c.entryCount(), 1u);
 
-    auto found = c.lookup("o", 3);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found.get(), bytes.get()); // same buffer, not a copy
-    EXPECT_EQ(c.lookup("o", 4), nullptr);
-    EXPECT_EQ(c.lookup("other", 3), nullptr);
+    EXPECT_TRUE(c.lookup("o", 3));
+    EXPECT_FALSE(c.lookup("o", 4));
+    EXPECT_FALSE(c.lookup("other", 3));
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 2u);
 }
@@ -78,16 +69,16 @@ TEST(CacheUnitTest, AdmitAndLookupRoundTrip)
 TEST(CacheUnitTest, ByteCapacityAccountingUnderMixedChunkSizes)
 {
     cache::ChunkCache c(100);
-    ASSERT_TRUE(c.admit("o", 0, blob(10)));
-    ASSERT_TRUE(c.admit("o", 1, blob(30)));
-    ASSERT_TRUE(c.admit("o", 2, blob(60))); // exactly full
+    ASSERT_TRUE(c.admit("o", 0, 10));
+    ASSERT_TRUE(c.admit("o", 1, 30));
+    ASSERT_TRUE(c.admit("o", 2, 60)); // exactly full
     EXPECT_EQ(c.sizeBytes(), 100u);
     EXPECT_EQ(c.entryCount(), 3u);
     EXPECT_EQ(c.evictions(), 0u);
 
     // One more byte of demand evicts from the tail until it fits: the
     // 25-byte admission only needs chunk 0 (10) and chunk 1 (30) gone.
-    ASSERT_TRUE(c.admit("o", 3, blob(25)));
+    ASSERT_TRUE(c.admit("o", 3, 25));
     EXPECT_EQ(c.evictions(), 2u);
     EXPECT_EQ(c.sizeBytes(), 85u);
     EXPECT_EQ(residentChunks(c, "o"), (std::vector<uint32_t>{3, 2}));
@@ -96,10 +87,10 @@ TEST(CacheUnitTest, ByteCapacityAccountingUnderMixedChunkSizes)
 TEST(CacheUnitTest, ExactFitAndSingleEntryEviction)
 {
     cache::ChunkCache c(100);
-    ASSERT_TRUE(c.admit("o", 0, blob(100))); // exact fit
+    ASSERT_TRUE(c.admit("o", 0, 100)); // exact fit
     EXPECT_EQ(c.sizeBytes(), 100u);
     // The next exact-fit admission must evict the only entry.
-    ASSERT_TRUE(c.admit("o", 1, blob(100)));
+    ASSERT_TRUE(c.admit("o", 1, 100));
     EXPECT_EQ(c.evictions(), 1u);
     EXPECT_EQ(c.sizeBytes(), 100u);
     EXPECT_FALSE(c.contains("o", 0));
@@ -109,27 +100,27 @@ TEST(CacheUnitTest, ExactFitAndSingleEntryEviction)
 TEST(CacheUnitTest, OversizedChunkRejectedWithoutEviction)
 {
     cache::ChunkCache c(100);
-    ASSERT_TRUE(c.admit("o", 0, blob(50)));
-    EXPECT_FALSE(c.admit("o", 1, blob(101)));
+    ASSERT_TRUE(c.admit("o", 0, 50));
+    EXPECT_FALSE(c.admit("o", 1, 101));
     EXPECT_EQ(c.evictions(), 0u);
     EXPECT_TRUE(c.contains("o", 0));
-    // Empty payloads are rejected too.
-    EXPECT_FALSE(c.admit("o", 2, std::make_shared<Bytes>()));
+    // Empty chunks are rejected too.
+    EXPECT_FALSE(c.admit("o", 2, 0));
 }
 
 TEST(CacheUnitTest, SieveEvictsOldestUnvisitedAndSparesVisited)
 {
     // Hand-computed trace. Queue is written newest-first below.
     cache::ChunkCache c(120);
-    ASSERT_TRUE(c.admit("o", 0, blob(40))); // [0]
-    ASSERT_TRUE(c.admit("o", 1, blob(40))); // [1 0]
-    ASSERT_TRUE(c.admit("o", 2, blob(40))); // [2 1 0], full
-    ASSERT_NE(c.lookup("o", 0), nullptr);   // chunk 0 visited
+    ASSERT_TRUE(c.admit("o", 0, 40)); // [0]
+    ASSERT_TRUE(c.admit("o", 1, 40)); // [1 0]
+    ASSERT_TRUE(c.admit("o", 2, 40)); // [2 1 0], full
+    ASSERT_TRUE(c.lookup("o", 0)); // chunk 0 visited
 
     // Admit 3: the hand starts at the tail (0), spares it because it
     // was visited (clearing the bit), and evicts 1 — the oldest
     // unvisited entry.
-    ASSERT_TRUE(c.admit("o", 3, blob(40))); // [3 2 0]
+    ASSERT_TRUE(c.admit("o", 3, 40)); // [3 2 0]
     EXPECT_EQ(c.evictions(), 1u);
     EXPECT_FALSE(c.contains("o", 1));
     EXPECT_EQ(residentChunks(c, "o"), (std::vector<uint32_t>{3, 2, 0}));
@@ -141,13 +132,13 @@ TEST(CacheUnitTest, HandResumesWhereThePreviousScanStopped)
     // hand rests on 2, so the next eviction takes 2 even though 0 is
     // older — its visited bit was already spent.
     cache::ChunkCache c(120);
-    ASSERT_TRUE(c.admit("o", 0, blob(40)));
-    ASSERT_TRUE(c.admit("o", 1, blob(40)));
-    ASSERT_TRUE(c.admit("o", 2, blob(40)));
-    ASSERT_NE(c.lookup("o", 0), nullptr);
-    ASSERT_TRUE(c.admit("o", 3, blob(40))); // evicts 1, hand on 2
+    ASSERT_TRUE(c.admit("o", 0, 40));
+    ASSERT_TRUE(c.admit("o", 1, 40));
+    ASSERT_TRUE(c.admit("o", 2, 40));
+    ASSERT_TRUE(c.lookup("o", 0));
+    ASSERT_TRUE(c.admit("o", 3, 40)); // evicts 1, hand on 2
 
-    ASSERT_TRUE(c.admit("o", 4, blob(40))); // evicts 2
+    ASSERT_TRUE(c.admit("o", 4, 40)); // evicts 2
     EXPECT_EQ(c.evictions(), 2u);
     EXPECT_FALSE(c.contains("o", 2));
     EXPECT_EQ(residentChunks(c, "o"), (std::vector<uint32_t>{4, 3, 0}));
@@ -156,15 +147,15 @@ TEST(CacheUnitTest, HandResumesWhereThePreviousScanStopped)
 TEST(CacheUnitTest, HandPassClearsEveryVisitedBitThenWrapsToTail)
 {
     cache::ChunkCache c(120);
-    ASSERT_TRUE(c.admit("o", 0, blob(40)));
-    ASSERT_TRUE(c.admit("o", 1, blob(40)));
-    ASSERT_TRUE(c.admit("o", 2, blob(40)));
+    ASSERT_TRUE(c.admit("o", 0, 40));
+    ASSERT_TRUE(c.admit("o", 1, 40));
+    ASSERT_TRUE(c.admit("o", 2, 40));
     // Every entry visited: the hand clears all three bits, wraps off
     // the head back to the tail and evicts the oldest entry.
-    ASSERT_NE(c.lookup("o", 0), nullptr);
-    ASSERT_NE(c.lookup("o", 1), nullptr);
-    ASSERT_NE(c.lookup("o", 2), nullptr);
-    ASSERT_TRUE(c.admit("o", 3, blob(40)));
+    ASSERT_TRUE(c.lookup("o", 0));
+    ASSERT_TRUE(c.lookup("o", 1));
+    ASSERT_TRUE(c.lookup("o", 2));
+    ASSERT_TRUE(c.admit("o", 3, 40));
     EXPECT_EQ(c.evictions(), 1u);
     EXPECT_FALSE(c.contains("o", 0));
     EXPECT_EQ(residentChunks(c, "o"), (std::vector<uint32_t>{3, 2, 1}));
@@ -173,15 +164,15 @@ TEST(CacheUnitTest, HandPassClearsEveryVisitedBitThenWrapsToTail)
 TEST(CacheUnitTest, ReAdmissionMarksVisitedInsteadOfDuplicating)
 {
     cache::ChunkCache c(120);
-    ASSERT_TRUE(c.admit("o", 0, blob(40)));
-    ASSERT_TRUE(c.admit("o", 1, blob(40)));
-    ASSERT_TRUE(c.admit("o", 2, blob(40)));
-    // Re-admit 0 (null payload allowed for a resident key): no size
-    // change, but 0 now survives the next hand pass like a lookup hit.
-    ASSERT_TRUE(c.admit("o", 0, nullptr));
+    ASSERT_TRUE(c.admit("o", 0, 40));
+    ASSERT_TRUE(c.admit("o", 1, 40));
+    ASSERT_TRUE(c.admit("o", 2, 40));
+    // Re-admit 0 (a resident key keeps its size): no size change, but
+    // 0 now survives the next hand pass like a lookup hit.
+    ASSERT_TRUE(c.admit("o", 0, 10));
     EXPECT_EQ(c.sizeBytes(), 120u);
     EXPECT_EQ(c.entryCount(), 3u);
-    ASSERT_TRUE(c.admit("o", 3, blob(40)));
+    ASSERT_TRUE(c.admit("o", 3, 40));
     EXPECT_TRUE(c.contains("o", 0));
     EXPECT_FALSE(c.contains("o", 1));
 }
@@ -189,9 +180,9 @@ TEST(CacheUnitTest, ReAdmissionMarksVisitedInsteadOfDuplicating)
 TEST(CacheUnitTest, InvalidateRemovesEntryAndKeepsEvictionOrderSane)
 {
     cache::ChunkCache c(120);
-    ASSERT_TRUE(c.admit("o", 0, blob(40)));
-    ASSERT_TRUE(c.admit("o", 1, blob(40)));
-    ASSERT_TRUE(c.admit("o", 2, blob(40)));
+    ASSERT_TRUE(c.admit("o", 0, 40));
+    ASSERT_TRUE(c.admit("o", 1, 40));
+    ASSERT_TRUE(c.admit("o", 2, 40));
     c.invalidate("o", 1);
     EXPECT_EQ(c.sizeBytes(), 80u);
     c.invalidate("o", 9); // absent: no-op
@@ -199,7 +190,7 @@ TEST(CacheUnitTest, InvalidateRemovesEntryAndKeepsEvictionOrderSane)
     EXPECT_EQ(c.evictions(), 0u); // invalidation is not an eviction
 
     // Eviction still works after the middle of the queue vanished.
-    ASSERT_TRUE(c.admit("o", 3, blob(80)));
+    ASSERT_TRUE(c.admit("o", 3, 80));
     EXPECT_EQ(c.evictions(), 1u);
     EXPECT_FALSE(c.contains("o", 0));
 }
@@ -207,10 +198,10 @@ TEST(CacheUnitTest, InvalidateRemovesEntryAndKeepsEvictionOrderSane)
 TEST(CacheUnitTest, InvalidateObjectDropsOnlyThatObject)
 {
     cache::ChunkCache c(1000);
-    ASSERT_TRUE(c.admit("a", 0, blob(10)));
-    ASSERT_TRUE(c.admit("a", 1, blob(10)));
-    ASSERT_TRUE(c.admit("ab", 0, blob(10))); // prefix, distinct object
-    ASSERT_TRUE(c.admit("b", 0, blob(10)));
+    ASSERT_TRUE(c.admit("a", 0, 10));
+    ASSERT_TRUE(c.admit("a", 1, 10));
+    ASSERT_TRUE(c.admit("ab", 0, 10)); // prefix, distinct object
+    ASSERT_TRUE(c.admit("b", 0, 10));
     c.invalidateObject("a");
     EXPECT_FALSE(c.contains("a", 0));
     EXPECT_FALSE(c.contains("a", 1));
@@ -222,34 +213,17 @@ TEST(CacheUnitTest, InvalidateObjectDropsOnlyThatObject)
 TEST(CacheUnitTest, ClearDropsEntriesButKeepsTallies)
 {
     cache::ChunkCache c(100);
-    ASSERT_TRUE(c.admit("o", 0, blob(60)));
-    ASSERT_NE(c.lookup("o", 0), nullptr);
-    ASSERT_TRUE(c.admit("o", 1, blob(60))); // evicts 0
+    ASSERT_TRUE(c.admit("o", 0, 60));
+    ASSERT_TRUE(c.lookup("o", 0));
+    ASSERT_TRUE(c.admit("o", 1, 60)); // evicts 0
     c.clear();
     EXPECT_EQ(c.entryCount(), 0u);
     EXPECT_EQ(c.sizeBytes(), 0u);
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.evictions(), 1u);
     // Still usable after clear.
-    ASSERT_TRUE(c.admit("o", 2, blob(60)));
+    ASSERT_TRUE(c.admit("o", 2, 60));
     EXPECT_TRUE(c.contains("o", 2));
-}
-
-TEST(CacheUnitTest, DecodedLayerRidesAlongWithResidency)
-{
-    cache::ChunkCache c(100);
-    auto decoded = std::make_shared<format::ColumnData>();
-    c.attachDecoded("o", 0, decoded); // not resident: no-op
-    EXPECT_EQ(c.decoded("o", 0), nullptr);
-
-    ASSERT_TRUE(c.admit("o", 0, blob(50)));
-    c.attachDecoded("o", 0, decoded);
-    EXPECT_EQ(c.decoded("o", 0).get(), decoded.get());
-    // Only raw bytes count against capacity.
-    EXPECT_EQ(c.sizeBytes(), 50u);
-
-    c.invalidate("o", 0);
-    EXPECT_EQ(c.decoded("o", 0), nullptr);
 }
 
 TEST(CacheUnitTest, BoundCountersMirrorHandComputedTrace)
@@ -261,12 +235,12 @@ TEST(CacheUnitTest, BoundCountersMirrorHandComputedTrace)
                   &reg.counter("cache.chunk.evictions"),
                   &reg.gauge("cache.chunk.bytes"));
 
-    ASSERT_TRUE(c.admit("o", 0, blob(40)));
-    ASSERT_TRUE(c.admit("o", 1, blob(40)));
-    ASSERT_NE(c.lookup("o", 0), nullptr);   // hit
-    EXPECT_EQ(c.lookup("o", 7), nullptr);   // miss
-    ASSERT_TRUE(c.admit("o", 2, blob(40))); // full, no eviction
-    ASSERT_TRUE(c.admit("o", 3, blob(40))); // spares 0, evicts 1
+    ASSERT_TRUE(c.admit("o", 0, 40));
+    ASSERT_TRUE(c.admit("o", 1, 40));
+    ASSERT_TRUE(c.lookup("o", 0));  // hit
+    EXPECT_FALSE(c.lookup("o", 7)); // miss
+    ASSERT_TRUE(c.admit("o", 2, 40)); // full, no eviction
+    ASSERT_TRUE(c.admit("o", 3, 40)); // spares 0, evicts 1
 
     // Hand-computed: 1 hit, 1 miss, 1 eviction, 120 resident bytes.
     EXPECT_EQ(reg.counter("cache.chunk.hits").value(), 1u);

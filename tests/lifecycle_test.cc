@@ -19,7 +19,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,9 +67,9 @@ concatTables(const format::Table &base, const format::Table &extra)
     return merged;
 }
 
-/** The delta path merges aggregates incrementally (running AVG and
- *  SUM folds), so doubles may differ from the single-pass reference in
- *  the last few bits — everything else must match exactly. */
+/** Aggregates reduce once over base-then-delta values, the order a
+ *  fresh put of the merged table scans, so every field — aggregate
+ *  doubles included — must match the reference exactly. */
 void
 expectSameResult(const query::QueryResult &got,
                  const query::QueryResult &want)
@@ -83,9 +82,7 @@ expectSameResult(const query::QueryResult &got,
         EXPECT_EQ(g.name, w.name);
         EXPECT_EQ(g.isAggregate, w.isAggregate);
         if (w.isAggregate) {
-            double tol =
-                1e-9 * std::max(1.0, std::fabs(w.aggregateValue));
-            EXPECT_NEAR(g.aggregateValue, w.aggregateValue, tol)
+            EXPECT_EQ(g.aggregateValue, w.aggregateValue)
                 << "aggregate " << w.name;
         } else {
             EXPECT_TRUE(g.values == w.values) << "projection " << w.name;

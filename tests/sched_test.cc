@@ -12,7 +12,8 @@
  * admission, per-node dedup stats), and the determinism contract —
  * scheduler metrics, trace and EXPLAIN output byte-identical across
  * FUSION_THREADS values, including open-loop arrivals under a crash
- * fault schedule.
+ * fault schedule — and the data-plane memo's invisibility: dropping it
+ * before every submit changes no outcome and no cache or wire counter.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 #include "sim/fault.h"
+#include "store/baseline_store.h"
 #include "store/fusion_store.h"
 #include "workload/lineitem.h"
 #include "workload/queries.h"
@@ -1093,6 +1095,171 @@ TEST(OpenLoopDeterminismTest, ResultsMatchIsolatedExecution)
         EXPECT_EQ(run.fingerprints[i],
                   resultFingerprint(solo.value().result))
             << "tag " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The data-plane memo is an experiment-speed artifact: a query sequence
+// run with dropCaches() before every submit must match the same
+// sequence run with the memo kept, outcome for outcome and counter for
+// counter, whatever the thread count.
+// ---------------------------------------------------------------------
+
+struct MemoRun {
+    std::vector<store::QueryOutcome> outcomes;
+    /** cache.chunk.* and wire.* instruments at the end of the run. */
+    std::map<std::string, double> instruments;
+    uint64_t fetchConversions = 0;
+};
+
+MemoRun
+runMemoSequence(bool fusion, size_t threads, bool drop_memo)
+{
+    ThreadPool::setSharedThreads(threads);
+    sim::ClusterConfig config;
+    config.numNodes = 9;
+    sim::Cluster cluster(config);
+    store::StoreOptions options;
+    options.cacheBytes = 16 << 10; // below the working set: evictions
+    options.compaction.enabled = false;
+    std::unique_ptr<store::ObjectStore> store;
+    if (fusion)
+        store = std::make_unique<store::FusionStore>(cluster, options);
+    else
+        store = std::make_unique<store::BaselineStore>(cluster, options);
+    auto file = workload::buildLineitemFile(3000, 7);
+    FUSION_CHECK(file.isOk());
+    FUSION_CHECK(store->put("lineitem", file.value().bytes).isOk());
+    FUSION_CHECK(store->put("appended", file.value().bytes).isOk());
+    FUSION_CHECK(
+        store->append("appended", workload::makeLineitemTable(300, 41))
+            .isOk());
+
+    format::Table table = workload::makeLineitemTable(3000, 7);
+    const format::ColumnData &quantity = table.column(workload::kQuantity);
+    const query::Query pusher =
+        workload::microbenchQuery("lineitem", "l_quantity", quantity, 0.02);
+    const query::Query fetcher =
+        workload::microbenchQuery("lineitem", "l_quantity", quantity, 0.8);
+    const query::Query later =
+        workload::microbenchQuery("lineitem", "l_quantity", quantity, 0.5);
+    auto parse = [](const char *sql) {
+        auto q = query::parseQuery(sql);
+        FUSION_CHECK(q.isOk());
+        return q.value();
+    };
+    const query::Query avg =
+        parse("SELECT AVG(l_discount), SUM(l_extendedprice), COUNT(*) "
+              "FROM appended WHERE l_quantity >= 30");
+    const query::Query discount =
+        parse("SELECT l_discount FROM lineitem WHERE l_quantity < 30");
+    // Zone maps cannot prune this equality, yet no row matches: the
+    // baseline fetches (and admits) l_discount chunks the data plane
+    // never decodes.
+    const query::Query no_match = parse(
+        "SELECT l_discount FROM lineitem WHERE l_extendedprice = 20000.01");
+
+    MemoRun run;
+    // Admission window on a cold cache: the fetcher arrives while the
+    // pusher's pushdowns are pending and converts them to a shared
+    // fetch, which admits the chunks.
+    sched::SharedScanScheduler scheduler(*store);
+    sim::SimEngine &engine = cluster.engine();
+    std::vector<sched::QueryHandle *> handles;
+    auto submit = [&](const query::Query &q) {
+        if (drop_memo)
+            store->dropCaches();
+        handles.push_back(scheduler.submit(q, handles.size()));
+    };
+    submit(pusher);
+    engine.scheduleAt(1e-4, [&]() { submit(fetcher); });
+    engine.scheduleAt(2e-4, [&]() { submit(later); });
+    engine.scheduleAt(3e-4, [&]() { submit(avg); });
+    scheduler.awaitAll();
+    for (sched::QueryHandle *h : handles) {
+        FUSION_CHECK(h->status().isOk());
+        run.outcomes.push_back(h->outcome());
+    }
+    run.fetchConversions = scheduler.windowStats().fetchConversions;
+
+    // Then queries alone, against whatever the window left resident.
+    auto solo = [&](const query::Query &q) {
+        if (drop_memo)
+            store->dropCaches();
+        auto outcome = store->query(q);
+        FUSION_CHECK(outcome.isOk());
+        run.outcomes.push_back(outcome.value());
+    };
+    solo(pusher);
+    solo(fetcher);
+    solo(avg);
+    solo(discount);
+    solo(fetcher); // evicts l_discount chunks
+    solo(no_match);
+    solo(discount);
+    solo(later);
+
+    obs::MetricsRegistry &reg = store->obs().metrics;
+    for (const char *name :
+         {"cache.chunk.hits", "cache.chunk.misses", "cache.chunk.evictions",
+          "wire.filter.request_bytes", "wire.filter.reply_bytes",
+          "wire.projection.request_bytes", "wire.projection.reply_bytes",
+          "wire.client.request_bytes", "wire.client.reply_bytes",
+          "wire.client.reply_plain_bytes"})
+        run.instruments[name] =
+            static_cast<double>(reg.counter(name).value());
+    run.instruments["cache.chunk.bytes"] =
+        reg.gauge("cache.chunk.bytes").value();
+    ThreadPool::setSharedThreads(1);
+    return run;
+}
+
+void
+expectSameRun(const MemoRun &got, const MemoRun &want,
+              const std::string &label)
+{
+    EXPECT_EQ(got.instruments, want.instruments) << label;
+    ASSERT_EQ(got.outcomes.size(), want.outcomes.size()) << label;
+    for (size_t i = 0; i < want.outcomes.size(); ++i) {
+        const store::QueryOutcome &g = got.outcomes[i];
+        const store::QueryOutcome &w = want.outcomes[i];
+        const std::string at = label + ", query " + std::to_string(i);
+        EXPECT_EQ(g.latencySeconds, w.latencySeconds) << at;
+        EXPECT_EQ(g.cpuSeconds, w.cpuSeconds) << at;
+        EXPECT_EQ(g.networkBytes, w.networkBytes) << at;
+        EXPECT_EQ(g.result.rowsMatched, w.result.rowsMatched) << at;
+        EXPECT_EQ(g.result.rowsScanned, w.result.rowsScanned) << at;
+        ASSERT_EQ(g.result.columns.size(), w.result.columns.size()) << at;
+        for (size_t c = 0; c < w.result.columns.size(); ++c) {
+            const query::ProjectionResult &gc = g.result.columns[c];
+            const query::ProjectionResult &wc = w.result.columns[c];
+            EXPECT_EQ(gc.name, wc.name) << at;
+            EXPECT_EQ(gc.isAggregate, wc.isAggregate) << at;
+            EXPECT_EQ(gc.aggregateValue, wc.aggregateValue) << at;
+            EXPECT_TRUE(gc.values == wc.values) << at << ", " << wc.name;
+        }
+    }
+}
+
+TEST(MemoInvisibilityTest, DroppingTheMemoChangesNoOutcome)
+{
+    for (bool fusion : {true, false}) {
+        const std::string store = fusion ? "fusion" : "baseline";
+        MemoRun kept = runMemoSequence(fusion, 1, false);
+        // The sequence exercises what the memo could leak into: cache
+        // hits, an appended object with an AVG and (Fusion) a
+        // mid-window conversion to a shared fetch.
+        EXPECT_GT(kept.instruments.at("cache.chunk.hits"), 0.0) << store;
+        EXPECT_GT(kept.outcomes[3].deltaSegmentsScanned, 0u) << store;
+        EXPECT_EQ(kept.fetchConversions > 0, fusion) << store;
+        for (size_t threads : {1, 4}) {
+            const std::string label =
+                store + " at FUSION_THREADS=" + std::to_string(threads);
+            expectSameRun(runMemoSequence(fusion, threads, true), kept,
+                          label + ", memo dropped");
+            expectSameRun(runMemoSequence(fusion, threads, false), kept,
+                          label + ", memo kept");
+        }
     }
 }
 

@@ -324,6 +324,10 @@ TEST(QueryCorrectnessTest, UnknownColumnsAndObjectsRejected)
     EXPECT_EQ(
         rig.store->querySql("SELECT a FROM missing").status().code(),
         StatusCode::kNotFound);
+    EXPECT_EQ(rig.store->querySql("SELECT MIN(l_comment) FROM lineitem")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
 }
 
 TEST(QueryExecutionTest, ZoneMapsSkipRowGroups)
@@ -612,6 +616,44 @@ TEST(ClientReplyTest, ZeroRowResultShipsNothing)
         EXPECT_EQ(
             counterValue(*rig.store, "wire.client.reply_plain_bytes"), 0u);
     }
+}
+
+TEST(MemoCounterTest, DecodeCountsOneHitOrMissPerDistinctChunk)
+{
+    const size_t rows = 4000;
+    format::Table table = workload::makeLineitemTable(rows, 7);
+    TestRig rig = makeRig(true);
+    ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes(rows)).isOk());
+    auto first = rig.store->querySql(
+        "SELECT l_extendedprice FROM lineitem WHERE l_quantity < 10");
+    ASSERT_TRUE(first.isOk());
+
+    // Every scanned row group decodes its l_quantity chunk; each one
+    // with a match also decodes its l_extendedprice chunk.
+    const format::FileMetadata &meta =
+        rig.store->manifest("lineitem").value()->fileMeta;
+    uint64_t decoded = first.value().rowGroupsScanned;
+    size_t row = 0;
+    for (const auto &group : meta.rowGroups) {
+        bool matched = false;
+        for (size_t r = row; r < row + group.numRows; ++r)
+            matched = matched ||
+                      table.column(workload::kQuantity).valueAt(r).numeric() <
+                          10;
+        decoded += matched ? 1 : 0;
+        row += group.numRows;
+    }
+    ASSERT_EQ(row, rows);
+    EXPECT_EQ(counterValue(*rig.store, "cache.decode.miss"), decoded);
+    EXPECT_EQ(counterValue(*rig.store, "cache.decode.hit"), 0u);
+
+    // A different query over the same filter column finds its filter
+    // chunks already decoded.
+    ASSERT_TRUE(rig.store
+                    ->querySql("SELECT l_discount FROM lineitem "
+                               "WHERE l_quantity < 20")
+                    .isOk());
+    EXPECT_GT(counterValue(*rig.store, "cache.decode.hit"), 0u);
 }
 
 } // namespace
