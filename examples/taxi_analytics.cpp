@@ -94,7 +94,7 @@ main(int argc, char **argv)
     double q4_sel = 0.063;
     for (size_t c : {workload::kPickupDate, workload::kFareAmount}) {
         const auto &chunk = meta.chunk(0, c);
-        auto d = query::decideProjectionPushdown(q4_sel, chunk);
+        auto d = query::decidePushdown(q4_sel, chunk);
         std::printf("  %-16s %.3f x %.1f = %.2f -> %s\n",
                     meta.schema.column(c).name.c_str(), d.selectivity,
                     d.compressibility, d.product(),

@@ -4,10 +4,11 @@
  * per-chunk projection decision the Cost Equation makes (paper §4.3:
  * push when selectivity x compressibility < 1) is recorded with its
  * inputs and verdict, including the decisions the equation never got
- * to make — health fallbacks on faulted nodes, split chunks that must
- * reassemble, and aggregate pushdowns. Rendered as a deterministic
- * text table or canonical JSON so reports are byte-comparable across
- * runs and thread counts.
+ * to make — health fallbacks on faulted nodes and split chunks that
+ * must reassemble. An aggregate pushdown's selectivity term is its
+ * 32-byte reply tuple over the chunk's plain size. Rendered as a
+ * deterministic text table or canonical JSON so reports are
+ * byte-comparable across runs and thread counts.
  */
 #ifndef FUSION_OBS_EXPLAIN_H
 #define FUSION_OBS_EXPLAIN_H
@@ -32,8 +33,9 @@ struct ExplainChunk {
     std::string verdict;
     /** Why: "cost product < 1", "cost product >= 1", "node
      *  unresponsive (health fallback)", "chunk split across nodes",
-     *  "aggregate-only projection", "adaptive pushdown disabled",
-     *  "cached-local". The shared-scan scheduler amends this with
+     *  "aggregate-only projection" (a push whose product is the reply
+     *  tuple's term), "adaptive pushdown disabled", "cached-local".
+     *  The shared-scan scheduler amends this with
      *  "merged-pushdown" / "shared-fetch" / "load-shed" (see
      *  sched/scheduler.h) and, when the consumer attached to a chunk
      *  entry created at an earlier simulated instant, with

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "query/cost.h"
 #include "sim/cluster.h"
 
 namespace fusion::sched {
@@ -192,10 +193,8 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
         slot->createdSeconds = now;
         slot->nodeId = t.nodeId;
         slot->chunkId = t.chunkId;
-        format::ChunkMeta chunk;
-        chunk.storedSize = t.chunkStoredBytes;
-        chunk.plainSize = t.chunkPlainBytes;
-        slot->merge = query::SharedPushdownMerge(chunk);
+        slot->chunk.storedSize = t.chunkStoredBytes;
+        slot->chunk.plainSize = t.chunkPlainBytes;
     }
     ChunkGroup &g = *slot;
     const bool late = now > g.createdSeconds;
@@ -225,47 +224,38 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
         return;
     }
 
-    // Incremental merged Cost Equation. The load term sees the node's
-    // live outstanding work plus what this attach would add (a new
-    // filter signature is one more storage-node execution; a duplicate
-    // shares an admitted reply and adds nothing).
-    const bool first_of_subgroup = g.merge.subgroupMembers(t.shareKey) == 0;
-    const double inc =
-        first_of_subgroup ? t.nodeCpuWork / nodeCapacity_ : 0.0;
-    // The load-shed term is scaled by the target node's health score
+    // Incremental Cost Equation. A new filter signature adds one reply
+    // to the merged bytes and one storage-node execution to the load
+    // term; a duplicate shares an admitted reply and adds nothing.
+    size_t &members = g.members[t.shareKey];
+    const bool first_of_subgroup = members++ == 0;
+    double inc = 0.0;
+    if (first_of_subgroup) {
+        g.mergedReplyBytes += t.replyBytes;
+        inc = t.nodeCpuWork / nodeCapacity_;
+    }
+    g.consumers.push_back({pq, ti, true, now});
+    ++g.pusherCount;
+    // Two or more pushdown consumers weigh their merged replies against
+    // one shared fetch; a lone pushdown keeps its planner verdict, so
+    // only the load term applies to it.
+    const double selectivity =
+        g.pusherCount < 2 || g.chunk.plainSize == 0
+            ? 0.0
+            : static_cast<double>(g.mergedReplyBytes) /
+                  static_cast<double>(g.chunk.plainSize);
+    // The load limit is scaled by the target node's health score
     // (obs/timeseries.h): a node working through retries/timeouts
     // advertises less capacity, so pushdowns convert to coordinator
     // fetches earlier. Healthy nodes score exactly 1.0, leaving the
     // configured limit untouched.
-    const double load_limit =
+    const query::PushdownDecision decision = query::decidePushdown(
+        selectivity, g.chunk, nodeOutstanding_[g.nodeId] + inc,
         options_.nodeLoadLimitSeconds *
-        store_.obs().telemetry.health().score(g.nodeId, now);
-    auto decision =
-        g.merge.attach(t.shareKey, t.replyBytes,
-                       nodeOutstanding_[g.nodeId] + inc, load_limit);
-    g.merge.addMember(t.shareKey);
-    g.consumers.push_back({pq, ti, true, now});
-    ++g.pusherCount;
-
-    bool convert = false;
-    bool load_shed = false;
-    const char *reason = nullptr;
-    if (g.pusherCount >= 2) {
-        if (!decision.push) {
-            convert = true;
-            load_shed = decision.loadShed;
-            reason = load_shed ? "load-shed" : "shared-fetch";
-        }
-    } else if (options_.nodeLoadLimitSeconds > 0.0 &&
-               nodeOutstanding_[g.nodeId] + inc > load_limit) {
-        // Singleton pushdown keeps its planner verdict unless the
-        // target node is already oversubscribed.
-        convert = true;
-        load_shed = true;
-        reason = "load-shed";
-    }
-    if (convert) {
-        convertGroup(g, reason, load_shed);
+            store_.obs().telemetry.health().score(g.nodeId, now));
+    if (!decision.push) {
+        convertGroup(g, decision.loadShed ? "load-shed" : "shared-fetch",
+                     decision.loadShed);
         return;
     }
 
@@ -279,7 +269,7 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
     // Consumers of a multi-member subgroup share one reply; re-mark
     // the whole subgroup so every member's EXPLAIN shows the sharing
     // (late joiners keep the more specific "joined-inflight").
-    if (g.merge.subgroupMembers(t.shareKey) >= 2) {
+    if (members >= 2) {
         for (const GroupConsumer &c : g.consumers) {
             const SimTask &ct = c.pq->plan->projectionTasks[c.ti];
             if (!c.pusher || ct.shareKey != t.shareKey)

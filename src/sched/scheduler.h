@@ -13,14 +13,16 @@
  *     one in-flight transfer and pays only coordinator-side work;
  *   - compatible projection pushdowns against the same chunk merge
  *     into one storage-node task with a shared reply;
- *   - the merged Cost Equation + per-node load-shed term (see
- *     query::SharedPushdownMerge) are re-evaluated INCREMENTALLY as
- *     consumers attach. A chunk whose merged verdict flips from
- *     pushdown to shared-fetch converts in place — every attached
- *     pushdown becomes a rider on one chunk fetch, and the fetched
- *     bytes are admitted into the coordinator hot-chunk cache — while
- *     later pushdowns are shed off nodes whose live outstanding work
- *     exceeds the admission limit.
+ *   - the Cost Equation (query::decidePushdown) is re-evaluated
+ *     INCREMENTALLY as consumers attach: two or more pushdown
+ *     consumers weigh their merged replies (one per filter signature)
+ *     against one shared fetch, and the per-node load term applies
+ *     to every pushdown, a lone one included. A chunk whose verdict
+ *     flips from pushdown to shared-fetch converts in place — every
+ *     attached pushdown becomes a rider on one chunk fetch, and the
+ *     fetched bytes are admitted into the coordinator hot-chunk cache
+ *     — while later pushdowns are shed off nodes whose live
+ *     outstanding work exceeds the admission limit.
  *
  * A query arriving after an entry's transfer was issued does NOT join
  * it; the key starts a fresh generation. Clients drive the window
@@ -50,7 +52,7 @@
 #include <utility>
 #include <vector>
 
-#include "query/cost.h"
+#include "format/metadata.h"
 #include "query/parser.h"
 #include "store/object_store.h"
 
@@ -298,8 +300,12 @@ class SharedScanScheduler
         bool hasFetcher = false; // some consumer already fetches
         size_t nodeId = 0;
         uint32_t chunkId = 0;
+        format::ChunkMeta chunk; // stored and plain sizes
         size_t pusherCount = 0; // admitted (unconverted) pushdowns
-        query::SharedPushdownMerge merge;
+        /** Admitted pushdowns per filter signature (share key). */
+        std::map<std::string, size_t> members;
+        /** One reply per filter signature, summed. */
+        uint64_t mergedReplyBytes = 0;
         std::vector<GroupConsumer> consumers;
     };
 

@@ -152,15 +152,18 @@ FusionStore::planQuery(const ObjectManifest &manifest,
 
     // ---- projection stage (fine-grained adaptive pushdown) ----
     // Columns only referenced by aggregates can use aggregate pushdown
-    // (extension; off by default as in the paper).
+    // (extension; off by default as in the paper): the node replies
+    // with one (count, sum, min, max) tuple.
     std::set<std::string> plain_projected;
     for (const auto &proj : q.projections)
         if (proj.aggregate == query::AggregateKind::kNone)
             plain_projected.insert(proj.column);
+    const uint64_t aggregate_reply_bytes = 32;
 
     for (const auto &col_name : q.projectionColumns()) {
         size_t col = schema.columnIndex(col_name).value();
-        bool aggregate_only = plain_projected.count(col_name) == 0;
+        const bool aggregate = options_.aggregatePushdown &&
+                               plain_projected.count(col_name) == 0;
         for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
             const auto &bitmap = plane.rowGroupBitmaps[rg];
             if (!bitmap.has_value() || bitmap->count() == 0)
@@ -170,10 +173,17 @@ FusionStore::planQuery(const ObjectManifest &manifest,
 
             // The Cost Equation inputs are computed for every chunk so
             // EXPLAIN can report them even when residency or health
-            // overrides the verdict.
+            // overrides the verdict. An aggregate-only column's
+            // selectivity term is its reply tuple over the plain size.
+            const double selectivity =
+                !aggregate ? plane.selectivity
+                : chunk.plainSize == 0
+                    ? 0.0
+                    : static_cast<double>(aggregate_reply_bytes) /
+                          static_cast<double>(chunk.plainSize);
             const bool cached = cacheLookupChunk(manifest, chunk_id);
             const query::PushdownDecision decision =
-                query::decideProjectionPushdown(plane.selectivity, chunk);
+                query::decidePushdown(selectivity, chunk);
             auto record = [&](const char *verdict, const char *reason) {
                 if (!explain)
                     return;
@@ -236,7 +246,6 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             // convert this pushdown into a shared chunk fetch.
             auto fill_shared = [&](SimTask &task) {
                 task.chunkId = chunk_id;
-                task.selectivity = plane.selectivity;
                 task.chunkStoredBytes = chunk.storedSize;
                 task.chunkPlainBytes = chunk.plainSize;
                 task.fetchDecodeWork = chunkDecodeWork(chunk);
@@ -249,32 +258,22 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                                                manifest.shareName(),
                                                chunk_id);
 
-            if (options_.aggregatePushdown && aggregate_only) {
-                // Node returns a (count, sum, min, max) scalar tuple.
-                SimTask task{node, request, disk_bytes, decode_work, 32,
-                             0.0, "projection_pushdown"};
-                task.shareKey = "apush|" + manifest.shareName() + "|" +
-                                std::to_string(chunk_id) + "|" +
-                                full_filter_sig;
-                fill_shared(task);
-                plan.projectionTasks.push_back(std::move(task));
-                ++plan.outcome.projectionPushdowns;
-                record("push", "aggregate-only projection");
-                continue;
-            }
-
             bool push = options_.adaptivePushdown ? decision.push : true;
             if (push) {
                 SimTask task{node, request, disk_bytes, decode_work,
-                             plane.projectionReplySize.at({rg, col}), 0.0,
-                             "projection_pushdown"};
-                task.shareKey = "ppush|" + manifest.shareName() + "|" +
+                             aggregate
+                                 ? aggregate_reply_bytes
+                                 : plane.projectionReplySize.at({rg, col}),
+                             0.0, "projection_pushdown"};
+                task.shareKey = (aggregate ? "apush|" : "ppush|") +
+                                manifest.shareName() + "|" +
                                 std::to_string(chunk_id) + "|" +
                                 full_filter_sig;
                 fill_shared(task);
                 plan.projectionTasks.push_back(std::move(task));
                 ++plan.outcome.projectionPushdowns;
-                record("push", options_.adaptivePushdown
+                record("push", aggregate ? "aggregate-only projection"
+                               : options_.adaptivePushdown
                                    ? "cost product < 1"
                                    : "adaptive pushdown disabled");
             } else {

@@ -1496,14 +1496,6 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                 .first->second;
 }
 
-bool
-ObjectStore::chunkIntactOnSingleNode(const ObjectManifest &manifest,
-                                     uint32_t chunk_id) const
-{
-    return chunkPushdownState(manifest, chunk_id) ==
-           ChunkPushdownState::kPushable;
-}
-
 ObjectStore::ChunkPushdownState
 ObjectStore::chunkPushdownState(const ObjectManifest &manifest,
                                 uint32_t chunk_id) const
@@ -1723,7 +1715,6 @@ ObjectStore::makeSharedFetchTask(const SimTask &pushdown) const
     fetch.shareKey =
         "cfetch|" + pushdown.shareKey.substr(p1 + 1, p3 - p1 - 1);
     fetch.chunkId = pushdown.chunkId;
-    fetch.selectivity = pushdown.selectivity;
     fetch.chunkStoredBytes = pushdown.chunkStoredBytes;
     fetch.chunkPlainBytes = pushdown.chunkPlainBytes;
     fetch.fetchDecodeWork = pushdown.fetchDecodeWork;

@@ -341,9 +341,8 @@ class ObjectStore : public lifecycle::CompactionHost
         std::string shareKey;
         /** Chunk this task serves, or UINT32_MAX for non-chunk tasks. */
         uint32_t chunkId = UINT32_MAX;
-        /** Inputs for the shared Cost Equation, set on
-         *  projection_pushdown tasks only (see query/cost.h). */
-        double selectivity = 0.0;
+        /** The chunk's sizes, the admission window's Cost Equation
+         *  inputs (see query/cost.h). */
         uint64_t chunkStoredBytes = 0; // wire cost if fetched instead
         uint64_t chunkPlainBytes = 0;
         /** Coordinator decode work if this pushdown is converted to a
@@ -547,10 +546,6 @@ class ObjectStore : public lifecycle::CompactionHost
     /** Expands `SELECT *` and validates column names against a schema. */
     Result<query::Query> resolveQuery(const query::Query &q,
                                       const format::Schema &schema) const;
-
-    /** True if every piece of the chunk lives on one healthy node. */
-    bool chunkIntactOnSingleNode(const ObjectManifest &manifest,
-                                 uint32_t chunk_id) const;
 
     /** Pushdown eligibility of a chunk under current node health. */
     enum class ChunkPushdownState {

@@ -88,8 +88,9 @@ TEST(FuzzTest, RleSurvivesCorruption)
     for (int trial = 0; trial < 300; ++trial) {
         Bytes corrupt = flipBytes(encoded, rng, 1 + trial % 3);
         auto result = codec::rleDecode(Slice(corrupt), 4, values.size());
-        if (result.isOk())
+        if (result.isOk()) {
             EXPECT_EQ(result.value().size(), values.size());
+        }
     }
     for (int trial = 0; trial < 200; ++trial) {
         Bytes garbage = randomGarbage(rng, 256);
@@ -170,8 +171,9 @@ TEST(FuzzTest, BitmapSurvivesCorruption)
     for (int trial = 0; trial < 200; ++trial) {
         Bytes corrupt = flipBytes(bytes, rng, 1 + trial % 3);
         auto result = query::Bitmap::fromBytes(Slice(corrupt));
-        if (result.isOk())
+        if (result.isOk()) {
             EXPECT_LE(result.value().count(), result.value().size());
+        }
     }
 }
 

@@ -5,6 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "format/column.h"
 #include "query/ast.h"
 #include "query/bitmap.h"
@@ -193,9 +199,10 @@ TEST_P(ZoneMapProperty, NoFalseNegatives)
         Predicate pred{"c", op, Value::ofInt64(literal)};
         auto bm = evalPredicate(col, op, pred.literal);
         ASSERT_TRUE(bm.isOk());
-        if (bm.value().count() > 0)
+        if (bm.value().count() > 0) {
             EXPECT_TRUE(zoneMapMayMatch(meta, pred))
                 << compareOpName(op) << " " << literal;
+        }
     }
 }
 
@@ -242,11 +249,256 @@ TEST(CostModelTest, CostEquationBoundary)
     format::ChunkMeta chunk;
     chunk.plainSize = 1000;
     chunk.storedSize = 100; // compressibility 10
-    EXPECT_TRUE(decideProjectionPushdown(0.05, chunk).push);  // 0.5 < 1
-    EXPECT_FALSE(decideProjectionPushdown(0.15, chunk).push); // 1.5 > 1
-    auto d = decideProjectionPushdown(0.2, chunk);
+    EXPECT_TRUE(decidePushdown(0.05, chunk).push);  // 0.5 < 1
+    EXPECT_FALSE(decidePushdown(0.15, chunk).push); // 1.5 > 1
+    auto d = decidePushdown(0.2, chunk);
     EXPECT_DOUBLE_EQ(d.compressibility, 10.0);
     EXPECT_DOUBLE_EQ(d.product(), 2.0);
+    EXPECT_FALSE(d.loadShed);
+}
+
+// ---------------------------------------------------------------------
+// Property tests: decidePushdown against the three forms of the Cost
+// Equation it replaced, copied here as reference oracles.
+// ---------------------------------------------------------------------
+
+namespace oracle {
+
+struct ProjectionDecision {
+    bool push = true;
+    double selectivity = 0.0;
+    double compressibility = 1.0;
+};
+
+/** The planner's per-query form. */
+ProjectionDecision
+decideProjectionPushdown(double selectivity, const format::ChunkMeta &chunk)
+{
+    ProjectionDecision decision;
+    decision.selectivity = selectivity;
+    decision.compressibility = chunk.compressibility();
+    decision.push = selectivity * decision.compressibility < 1.0;
+    return decision;
+}
+
+struct SharedPushdownDecision {
+    bool push = true;
+    bool loadShed = false;
+    double mergedSelectivity = 0.0;
+    double compressibility = 1.0;
+};
+
+/** The merged-consumer form with the load term. */
+SharedPushdownDecision
+decideSharedProjectionPushdown(uint64_t merged_reply_bytes,
+                               const format::ChunkMeta &chunk,
+                               double node_outstanding_seconds,
+                               double load_limit_seconds)
+{
+    SharedPushdownDecision decision;
+    decision.compressibility = chunk.compressibility();
+    decision.mergedSelectivity =
+        chunk.plainSize == 0
+            ? 0.0
+            : static_cast<double>(merged_reply_bytes) /
+                  static_cast<double>(chunk.plainSize);
+    decision.push = merged_reply_bytes < chunk.storedSize;
+    if (decision.push && load_limit_seconds > 0.0 &&
+        node_outstanding_seconds > load_limit_seconds) {
+        decision.push = false;
+        decision.loadShed = true;
+    }
+    return decision;
+}
+
+/** The incremental form the admission window fed one attach at a
+ *  time (one reply per distinct filter signature). */
+class SharedPushdownMerge
+{
+  public:
+    explicit SharedPushdownMerge(const format::ChunkMeta &chunk)
+        : chunk_(chunk)
+    {
+    }
+
+    SharedPushdownDecision
+    attach(const std::string &subgroup_key, uint64_t reply_bytes,
+           double node_outstanding_seconds, double load_limit_seconds)
+    {
+        if (subgroups_.emplace(subgroup_key, reply_bytes).second)
+            mergedReplyBytes_ += reply_bytes;
+        return decideSharedProjectionPushdown(mergedReplyBytes_, chunk_,
+                                              node_outstanding_seconds,
+                                              load_limit_seconds);
+    }
+
+    uint64_t mergedReplyBytes() const { return mergedReplyBytes_; }
+
+  private:
+    format::ChunkMeta chunk_;
+    uint64_t mergedReplyBytes_ = 0;
+    std::map<std::string, uint64_t> subgroups_;
+};
+
+/** The admission window's former lone-pushdown branch: only the load
+ *  term could flip a single pushdown. */
+bool
+loneShed(double node_outstanding_seconds, double load_limit_seconds)
+{
+    return load_limit_seconds > 0.0 &&
+           node_outstanding_seconds > load_limit_seconds;
+}
+
+} // namespace oracle
+
+format::ChunkMeta
+sizedChunk(uint64_t stored, uint64_t plain)
+{
+    format::ChunkMeta chunk;
+    chunk.storedSize = stored;
+    chunk.plainSize = plain;
+    return chunk;
+}
+
+/** The admission window's selectivity term for merged consumers. */
+double
+windowSelectivity(uint64_t merged_reply_bytes, const format::ChunkMeta &chunk)
+{
+    return chunk.plainSize == 0
+               ? 0.0
+               : static_cast<double>(merged_reply_bytes) /
+                     static_cast<double>(chunk.plainSize);
+}
+
+const std::vector<uint64_t> kGridSizes = {
+    0, 1, 31, 32, 33, 100, 1000, 4096, 65537, 1u << 20, 3u << 20};
+const std::vector<std::pair<double, double>> kGridLoads = {
+    {0.0, 0.0}, {0.5, 0.0}, {0.05, 0.1}, {0.1, 0.1}, {0.5, 0.1},
+    {0.3, 0.25}};
+
+TEST(CostEquationProperty, PlannerFormMatchesOracle)
+{
+    const std::vector<double> selectivities = {
+        0.0, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0};
+    for (uint64_t stored : kGridSizes) {
+        for (uint64_t plain : kGridSizes) {
+            const auto chunk = sizedChunk(stored, plain);
+            for (double sel : selectivities) {
+                const auto want =
+                    oracle::decideProjectionPushdown(sel, chunk);
+                const auto got = decidePushdown(sel, chunk);
+                SCOPED_TRACE(testing::Message()
+                             << "stored=" << stored << " plain=" << plain
+                             << " sel=" << sel);
+                EXPECT_EQ(got.push, want.push);
+                EXPECT_FALSE(got.loadShed);
+                EXPECT_EQ(got.selectivity, want.selectivity);
+                EXPECT_EQ(got.compressibility, want.compressibility);
+            }
+            // A lone pushdown in the window passes selectivity 0, so
+            // only the load term can flip it.
+            for (const auto &[load, limit] : kGridLoads) {
+                const auto got = decidePushdown(0.0, chunk, load, limit);
+                EXPECT_EQ(got.loadShed, oracle::loneShed(load, limit));
+                EXPECT_EQ(got.push, !got.loadShed);
+            }
+        }
+    }
+}
+
+TEST(CostEquationProperty, MergedFormMatchesOracleExceptTheTie)
+{
+    size_t ties = 0;
+    size_t compared = 0;
+    for (uint64_t stored : kGridSizes) {
+        for (uint64_t plain : kGridSizes) {
+            const auto chunk = sizedChunk(stored, plain);
+            std::vector<uint64_t> merged_grid = {0, 1, 32, stored,
+                                                 stored + 1, 2 * stored,
+                                                 1000, 1u << 20};
+            if (stored > 0)
+                merged_grid.push_back(stored - 1);
+            for (uint64_t merged : merged_grid) {
+                for (const auto &[load, limit] : kGridLoads) {
+                    const auto want = oracle::decideSharedProjectionPushdown(
+                        merged, chunk, load, limit);
+                    const auto got = decidePushdown(
+                        windowSelectivity(merged, chunk), chunk, load,
+                        limit);
+                    SCOPED_TRACE(testing::Message()
+                                 << "stored=" << stored << " plain=" << plain
+                                 << " merged=" << merged << " load=" << load
+                                 << " limit=" << limit);
+                    EXPECT_EQ(got.selectivity, want.mergedSelectivity);
+                    EXPECT_EQ(got.compressibility, want.compressibility);
+                    // The named tie: the oracle compared integers
+                    // (merged < stored), the product (m/p)(p/s) may
+                    // round below 1 at merged == stored.
+                    if (merged == stored) {
+                        ++ties;
+                        continue;
+                    }
+                    // A zero size makes the two forms disagree on
+                    // chunks the window never sees: every stored chunk
+                    // has a header, and a pushed chunk has a row, whose
+                    // plain size is at least 4 bytes.
+                    if (stored == 0 || plain == 0)
+                        continue;
+                    ++compared;
+                    EXPECT_EQ(got.push, want.push);
+                    EXPECT_EQ(got.loadShed, want.loadShed);
+                }
+            }
+        }
+    }
+    EXPECT_GT(ties, 0u);
+    EXPECT_GT(compared, 1000u);
+}
+
+TEST(CostEquationProperty, IncrementalAttachesMatchMergeOracle)
+{
+    std::mt19937_64 rng(42);
+    for (int trial = 0; trial < 200; ++trial) {
+        const uint64_t stored = 64 + rng() % 8192;
+        const uint64_t plain = stored + rng() % 16384;
+        const auto chunk = sizedChunk(stored, plain);
+        oracle::SharedPushdownMerge merge(chunk);
+        std::map<std::string, size_t> members;
+        std::map<std::string, uint64_t> replies;
+        uint64_t merged = 0;
+        size_t pushers = 0;
+        bool fetched = false;
+        for (int attach = 0; attach < 12; ++attach) {
+            // Few signatures, so duplicates are common.
+            const std::string sig = "sig" + std::to_string(rng() % 5);
+            if (!replies.count(sig))
+                replies[sig] = 1 + rng() % (stored / 2);
+            const auto &[load, limit] = kGridLoads[rng() % kGridLoads.size()];
+            const auto want = merge.attach(sig, replies[sig], load, limit);
+            if (members[sig]++ == 0)
+                merged += replies[sig];
+            ++pushers;
+            ASSERT_EQ(merged, merge.mergedReplyBytes());
+            const double sel =
+                pushers < 2 ? 0.0 : windowSelectivity(merged, chunk);
+            const auto got = decidePushdown(sel, chunk, load, limit);
+            SCOPED_TRACE(testing::Message()
+                         << "trial=" << trial << " attach=" << attach);
+            if (pushers < 2) {
+                EXPECT_EQ(got.loadShed, oracle::loneShed(load, limit));
+            } else if (merged != stored) {
+                EXPECT_EQ(got.push, want.push);
+                EXPECT_EQ(got.loadShed, want.loadShed);
+            }
+            // Without the load term, attaches only ever flip the
+            // verdict from push to fetch: merged bytes never shrink.
+            const bool push_by_bytes = decidePushdown(sel, chunk).push;
+            if (fetched) {
+                EXPECT_FALSE(push_by_bytes);
+            }
+            fetched = fetched || !push_by_bytes;
+        }
+    }
 }
 
 TEST(ParserTest, SimpleSelect)

@@ -39,7 +39,8 @@ namespace fusion {
 namespace {
 
 // ---------------------------------------------------------------------
-// Shared Cost Equation units.
+// The Cost Equation over merged consumers (query::decidePushdown with
+// the admission window's selectivity term).
 // ---------------------------------------------------------------------
 
 format::ChunkMeta
@@ -51,11 +52,20 @@ chunkMeta(uint64_t stored, uint64_t plain)
     return chunk;
 }
 
+/** The window's selectivity term: merged reply bytes over plain size. */
+double
+mergedSelectivity(uint64_t merged_reply_bytes, const format::ChunkMeta &chunk)
+{
+    return static_cast<double>(merged_reply_bytes) /
+           static_cast<double>(chunk.plainSize);
+}
+
 TEST(SharedCostTest, PushesWhenMergedRepliesBeatOneFetch)
 {
     // 3:1 compressed chunk; merged replies of 200 KB vs a 1 MB fetch.
-    auto d = query::decideSharedProjectionPushdown(
-        200 << 10, chunkMeta(1 << 20, 3 << 20), 0.0, 0.0);
+    const auto chunk = chunkMeta(1 << 20, 3 << 20);
+    auto d = query::decidePushdown(mergedSelectivity(200 << 10, chunk),
+                                   chunk, 0.0, 0.0);
     EXPECT_TRUE(d.push);
     EXPECT_FALSE(d.loadShed);
     EXPECT_LT(d.product(), 1.0);
@@ -64,32 +74,36 @@ TEST(SharedCostTest, PushesWhenMergedRepliesBeatOneFetch)
 TEST(SharedCostTest, FetchesWhenMergedRepliesExceedStoredSize)
 {
     // Many consumers: summed replies outweigh fetching the chunk once.
-    auto d = query::decideSharedProjectionPushdown(
-        (1 << 20) + 1, chunkMeta(1 << 20, 3 << 20), 0.0, 0.0);
+    const auto chunk = chunkMeta(1 << 20, 3 << 20);
+    auto d = query::decidePushdown(
+        mergedSelectivity((1 << 20) + 1, chunk), chunk, 0.0, 0.0);
     EXPECT_FALSE(d.push);
     EXPECT_FALSE(d.loadShed);
 }
 
 TEST(SharedCostTest, LoadTermOverridesByteMath)
 {
-    auto d = query::decideSharedProjectionPushdown(
-        1 << 10, chunkMeta(1 << 20, 3 << 20), /*outstanding=*/0.5,
-        /*limit=*/0.1);
+    const auto chunk = chunkMeta(1 << 20, 3 << 20);
+    auto d = query::decidePushdown(mergedSelectivity(1 << 10, chunk), chunk,
+                                   /*outstanding=*/0.5, /*limit=*/0.1);
     EXPECT_FALSE(d.push);
     EXPECT_TRUE(d.loadShed);
 
     // Limit 0 disables the term entirely.
-    auto open = query::decideSharedProjectionPushdown(
-        1 << 10, chunkMeta(1 << 20, 3 << 20), 0.5, 0.0);
+    auto open = query::decidePushdown(mergedSelectivity(1 << 10, chunk),
+                                      chunk, 0.5, 0.0);
     EXPECT_TRUE(open.push);
 }
 
 TEST(SharedCostTest, MergedSelectivityIsUnionOverPlainSize)
 {
-    auto d = query::decideSharedProjectionPushdown(
-        1 << 20, chunkMeta(3 << 20, 4 << 20), 0.0, 0.0);
-    EXPECT_DOUBLE_EQ(d.mergedSelectivity, 0.25);
+    const auto chunk = chunkMeta(3 << 20, 4 << 20);
+    auto d = query::decidePushdown(mergedSelectivity(1 << 20, chunk), chunk,
+                                   0.0, 0.0);
+    EXPECT_DOUBLE_EQ(d.selectivity, 0.25);
     EXPECT_DOUBLE_EQ(d.compressibility, 4.0 / 3.0);
+    // The product is the merged replies over the stored size.
+    EXPECT_DOUBLE_EQ(d.product(), 1.0 / 3.0);
 }
 
 // ---------------------------------------------------------------------

@@ -437,6 +437,32 @@ TEST(QueryExecutionTest, AggregatePushdownShrinksReplies)
     EXPECT_LT(b.value().latencySeconds, a.value().latencySeconds);
 }
 
+TEST(QueryExecutionTest, AggregatePushdownExplainObeysCostEquation)
+{
+    // An aggregate pushdown's selectivity term is its reply tuple, so
+    // every "push" row it explains satisfies the Cost Equation.
+    StoreOptions options;
+    options.aggregatePushdown = true;
+    TestRig rig = makeRig(true, options);
+    ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes()).isOk());
+    rig.store->obs().explainEnabled = true;
+    auto outcome = rig.store->querySql(
+        "SELECT SUM(l_quantity) FROM lineitem WHERE l_quantity <= 50");
+    ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
+    ASSERT_NE(outcome.value().explain, nullptr);
+    size_t aggregate_rows = 0;
+    for (const obs::ExplainChunk &row :
+         outcome.value().explain->projections) {
+        if (row.reason.find("aggregate-only projection") ==
+            std::string::npos)
+            continue;
+        ++aggregate_rows;
+        EXPECT_EQ(row.verdict, "push") << "chunk " << row.chunkId;
+        EXPECT_LT(row.product(), 1.0) << "chunk " << row.chunkId;
+    }
+    EXPECT_GT(aggregate_rows, 0u);
+}
+
 TEST(QueryExecutionTest, RepeatedQueriesAreDeterministic)
 {
     TestRig rig = makeRig(true);
