@@ -3,9 +3,11 @@
  * Kernel microbenchmark + perf-trajectory tracker. Measures the hot
  * loops the performance layer optimizes — GF(256) multiply-accumulate
  * (legacy log/exp loop vs blocked scalar vs SIMD), Reed-Solomon
- * encode/reconstruct, and the typed predicate/select/aggregate query
- * kernels — and writes the numbers to BENCH_kernels.json so every
- * commit's kernel throughput is recorded.
+ * encode/reconstruct, the typed predicate/select/aggregate query
+ * kernels, and the decode kernels (Snappy, bit-unpacking, dictionary
+ * and plain lineitem chunks; MB/s counts plain-encoded bytes out) —
+ * and writes the numbers to BENCH_kernels.json so every commit's kernel
+ * throughput is recorded.
  *
  * Usage:
  *   bench_kernels [--quick] [--out=PATH] [--check=BASELINE]
@@ -22,12 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "codec/bitpack.h"
+#include "codec/snappy.h"
 #include "common/random.h"
 #include "common/walltime.h"
 #include "common/thread_pool.h"
 #include "ec/reed_solomon.h"
+#include "format/chunk_codec.h"
 #include "format/column.h"
 #include "query/eval.h"
+#include "workload/lineitem.h"
 
 using namespace fusion;
 
@@ -278,6 +284,68 @@ main(int argc, char **argv)
                                        query::AggregateKind::kSum, f64);
                                    asm volatile("" : : "r"(&s) : "memory");
                                }) / 1e6);
+
+    // ---- decode kernels: Snappy, bit-unpacking, whole chunks ----
+    // Lineitem as the stores hold it: 60k rows in 10 row groups, so
+    // every chunk is one 6000-value page.
+    auto file = workload::buildLineitemFile(60'000, 42);
+    FUSION_CHECK(file.isOk());
+    const format::FileMetadata &meta = file.value().metadata;
+    struct Chunk {
+        Slice bytes;
+        format::PhysicalType type;
+    };
+    std::vector<Chunk> dict_chunks, plain_chunks;
+    double dict_bytes = 0, plain_bytes = 0;
+    std::vector<Bytes> pages; // each column's plain values, compressed
+    double page_bytes = 0;
+    for (const format::ChunkMeta *c : meta.allChunks()) {
+        Chunk chunk{Slice(file.value().bytes.data() + c->offset,
+                          c->storedSize),
+                    meta.schema.column(c->columnId).physical};
+        bool dict = c->encoding == format::ChunkEncoding::kDictionary;
+        (dict ? dict_chunks : plain_chunks).push_back(chunk);
+        (dict ? dict_bytes : plain_bytes) += static_cast<double>(c->plainSize);
+        if (c->rowGroupId == 0) {
+            Bytes plain = format::plainEncode(
+                format::decodeChunk(chunk.bytes, chunk.type).value());
+            page_bytes += static_cast<double>(plain.size());
+            pages.push_back(codec::snappyCompress(Slice(plain)));
+        }
+    }
+    add("snappy_decompress_mb_per_s", throughput(window, page_bytes, [&]() {
+            for (const Bytes &page : pages) {
+                auto out = codec::snappyDecompress(Slice(page));
+                asm volatile("" : : "r"(&out) : "memory");
+            }
+        }) / 1e6);
+
+    const size_t kCodes = 1 << 16;
+    const int kCodeWidth = 13;
+    Bytes packed;
+    codec::BitPacker packer(packed, kCodeWidth);
+    for (size_t i = 0; i < kCodes; ++i)
+        packer.put(rng.next() & ((1u << kCodeWidth) - 1));
+    packer.flush();
+    std::vector<uint64_t> codes(kCodes);
+    add("bitunpack_mvalues", throughput(window, kCodes, [&]() {
+            codec::BitUnpacker unpacker(Slice(packed), kCodeWidth);
+            auto st = unpacker.getMany(kCodes, codes.data());
+            asm volatile("" : : "r"(&st), "r"(codes.data()) : "memory");
+        }) / 1e6);
+
+    auto decode_all = [&](const std::vector<Chunk> &chunks) {
+        for (const Chunk &c : chunks) {
+            auto col = format::decodeChunk(c.bytes, c.type);
+            asm volatile("" : : "r"(&col) : "memory");
+        }
+    };
+    add("decode_chunk_dict_mb_per_s",
+        throughput(window, dict_bytes, [&]() { decode_all(dict_chunks); }) /
+            1e6);
+    add("decode_chunk_plain_mb_per_s",
+        throughput(window, plain_bytes, [&]() { decode_all(plain_chunks); }) /
+            1e6);
 
     writeJson(out_path,
               ec::simdLevelName(ec::Gf256::bestSimdLevel()),

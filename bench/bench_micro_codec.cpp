@@ -1,8 +1,8 @@
 /**
  * @file
- * google-benchmark microbenchmarks for the codec substrate: Snappy
- * compress/decompress, RLE encode/decode and bit packing — the
- * operations on the storage nodes' decode path.
+ * google-benchmark microbenchmarks for the codec substrate's encode
+ * side: Snappy compression, RLE encoding and bit packing. The decode
+ * side is timed by bench_kernels.
  */
 #include <benchmark/benchmark.h>
 
@@ -49,20 +49,6 @@ BM_SnappyCompress(benchmark::State &state)
 BENCHMARK(BM_SnappyCompress)->Arg(64 << 10)->Arg(1 << 20);
 
 void
-BM_SnappyDecompress(benchmark::State &state)
-{
-    Bytes input = makeInput(static_cast<size_t>(state.range(0)), 0.7);
-    Bytes compressed = codec::snappyCompress(Slice(input));
-    for (auto _ : state) {
-        auto out = codec::snappyDecompress(Slice(compressed));
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_SnappyDecompress)->Arg(64 << 10)->Arg(1 << 20);
-
-void
 BM_RleEncode(benchmark::State &state)
 {
     Rng rng(7);
@@ -77,22 +63,6 @@ BM_RleEncode(benchmark::State &state)
                             values.size());
 }
 BENCHMARK(BM_RleEncode);
-
-void
-BM_RleDecode(benchmark::State &state)
-{
-    std::vector<uint64_t> values(100000);
-    for (size_t i = 0; i < values.size(); ++i)
-        values[i] = (i / 50) % 16;
-    Bytes encoded = codec::rleEncode(values, 4);
-    for (auto _ : state) {
-        auto out = codec::rleDecode(Slice(encoded), 4, values.size());
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            values.size());
-}
-BENCHMARK(BM_RleDecode);
 
 void
 BM_BitPack(benchmark::State &state)

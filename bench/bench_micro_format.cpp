@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the columnar format: chunk
- * encode/decode across encodings, full file write/read, and footer
- * parsing — the data-plane costs behind the stores' CPU model.
+ * encoding, full file write/read, and footer parsing — the data-plane
+ * costs behind the stores' CPU model. bench_kernels times chunk decode.
  */
 #include <benchmark/benchmark.h>
 
@@ -61,21 +61,6 @@ BM_EncodeChunkPlain(benchmark::State &state)
                             100000);
 }
 BENCHMARK(BM_EncodeChunkPlain);
-
-void
-BM_DecodeChunkDictionary(benchmark::State &state)
-{
-    auto col = lowCardinalityColumn(100000);
-    auto encoded = format::encodeChunk(col, {});
-    for (auto _ : state) {
-        auto decoded = format::decodeChunk(Slice(encoded.bytes),
-                                           format::PhysicalType::kInt64);
-        benchmark::DoNotOptimize(decoded);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            100000);
-}
-BENCHMARK(BM_DecodeChunkDictionary);
 
 void
 BM_WriteLineitemFile(benchmark::State &state)

@@ -41,25 +41,22 @@ class BitPacker
 };
 
 /**
- * Reads fixed-width values written by BitPacker. Bounds-checked: reading
- * past the underlying slice returns kCorruption.
+ * Reads fixed-width values written by BitPacker, a word at a time.
+ * Bounds-checked: asking for more values than the slice holds returns
+ * kCorruption, and no load reads past the slice.
  */
 class BitUnpacker
 {
   public:
     BitUnpacker(Slice input, int width);
 
-    Result<uint64_t> get();
-
-    /** Bulk-read `count` values. */
-    Status getMany(size_t count, std::vector<uint64_t> &out);
+    /** Reads the next `count` values into out[0, count). */
+    Status getMany(size_t count, uint64_t *out);
 
   private:
     Slice input_;
     int width_;
-    size_t bytePos_ = 0;
-    uint64_t pending_ = 0;
-    int pendingBits_ = 0;
+    uint64_t bitPos_ = 0;
 };
 
 } // namespace fusion::codec

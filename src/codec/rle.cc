@@ -1,5 +1,7 @@
 #include "rle.h"
 
+#include <cstring>
+
 #include "bitpack.h"
 #include "common/serde.h"
 
@@ -66,46 +68,62 @@ rleEncode(const std::vector<uint64_t> &values, int width)
     return out;
 }
 
+RleReader::RleReader(Slice input, int width, size_t count)
+    : reader_(input), width_(width), remaining_(count)
+{
+    FUSION_CHECK(width >= 0 && width <= 64);
+}
+
+Status
+RleReader::next(RleRun &run)
+{
+    auto header = reader_.getVarU64();
+    if (!header.isOk())
+        return header.status();
+    const uint64_t h = header.value();
+    const uint64_t n = h >> 1;
+    run.packed = (h & 1) != 0;
+    if (run.packed) {
+        if (n == 0 || n > kMaxLiteralRun)
+            return Status::corruption("bad RLE literal count");
+        if (n > remaining_)
+            return Status::corruption("RLE literals exceed value count");
+        auto raw = reader_.getRaw((n * width_ + 7) / 8);
+        if (!raw.isOk())
+            return raw.status();
+        run.bits = raw.value();
+    } else {
+        if (n == 0)
+            return Status::corruption("zero-length RLE run");
+        if (n > remaining_)
+            return Status::corruption("RLE run exceeds value count");
+        auto raw = reader_.getRaw((width_ + 7) / 8);
+        if (!raw.isOk())
+            return raw.status();
+        run.value = 0;
+        std::memcpy(&run.value, raw.value().data(), raw.value().size());
+    }
+    run.count = static_cast<size_t>(n);
+    remaining_ -= run.count;
+    return Status::ok();
+}
+
 Result<std::vector<uint64_t>>
 rleDecode(Slice input, int width, size_t count)
 {
     std::vector<uint64_t> out;
-    out.reserve(count);
-    BinaryReader reader(input);
-    int value_bytes = (width + 7) / 8;
-
-    while (out.size() < count) {
-        auto header = reader.getVarU64();
-        if (!header.isOk())
-            return header.status();
-        uint64_t h = header.value();
-        if (h & 1) {
-            uint64_t literals = h >> 1;
-            if (literals == 0 || literals > kMaxLiteralRun)
-                return Status::corruption("bad RLE literal count");
-            if (literals > count - out.size())
-                return Status::corruption("RLE literals exceed value count");
-            size_t packed_bytes = (literals * width + 7) / 8;
-            auto raw = reader.getRaw(packed_bytes);
-            if (!raw.isOk())
-                return raw.status();
-            BitUnpacker unpacker(raw.value(), width);
-            FUSION_RETURN_IF_ERROR(unpacker.getMany(literals, out));
-        } else {
-            uint64_t run = h >> 1;
-            if (run == 0)
-                return Status::corruption("zero-length RLE run");
-            if (run > count - out.size())
-                return Status::corruption("RLE run exceeds value count");
-            uint64_t value = 0;
-            for (int b = 0; b < value_bytes; ++b) {
-                auto byte = reader.getU8();
-                if (!byte.isOk())
-                    return byte.status();
-                value |= static_cast<uint64_t>(byte.value()) << (8 * b);
-            }
-            out.insert(out.end(), run, value);
+    RleReader runs(input, width, count);
+    RleRun run;
+    while (runs.remaining() > 0) {
+        FUSION_RETURN_IF_ERROR(runs.next(run));
+        if (!run.packed) {
+            out.insert(out.end(), run.count, run.value);
+            continue;
         }
+        const size_t at = out.size();
+        out.resize(at + run.count);
+        FUSION_RETURN_IF_ERROR(BitUnpacker(run.bits, width)
+                                   .getMany(run.count, out.data() + at));
     }
     return out;
 }

@@ -22,12 +22,43 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/serde.h"
 #include "common/status.h"
 
 namespace fusion::codec {
 
 /** Encodes `values`, each fitting in `width` bits, to an RLE stream. */
 Bytes rleEncode(const std::vector<uint64_t> &values, int width);
+
+/** One run of an RLE stream. */
+struct RleRun {
+    size_t count = 0;    ///< values the run covers
+    bool packed = false; ///< bit-packed literals; else `count` x `value`
+    uint64_t value = 0;  ///< the repeated value of an RLE run
+    Slice bits;          ///< the packed bytes of a literal run
+};
+
+/**
+ * Walks the runs of a stream that holds exactly `count` values at
+ * `width` bits. Each header is checked against the values still owed,
+ * so the runs never cover more than `count` values in total.
+ */
+class RleReader
+{
+  public:
+    RleReader(Slice input, int width, size_t count);
+
+    /** Values not yet covered by a run returned from next(). */
+    size_t remaining() const { return remaining_; }
+
+    /** Parses the next run; kCorruption on a bad or truncated header. */
+    Status next(RleRun &run);
+
+  private:
+    BinaryReader reader_;
+    int width_;
+    size_t remaining_;
+};
 
 /** Decodes exactly `count` values at `width` bits from an RLE stream. */
 Result<std::vector<uint64_t>> rleDecode(Slice input, int width, size_t count);

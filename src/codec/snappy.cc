@@ -1,5 +1,7 @@
 #include "snappy.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/serde.h"
@@ -81,6 +83,89 @@ emitCopy(Bytes &out, size_t offset, size_t len)
     emitCopyPiece(out, offset, len);
 }
 
+// Per-tag decode table, as in Google's Snappy decoder: bits 0-7 hold the
+// element's length (a literal's, when its tag carries it), bits 8-10 the
+// high offset bits of a 1-byte-offset copy, bits 11-13 the number of
+// trailer bytes after the tag (a long literal's length or a copy's
+// offset). One lookup replaces a branch per element kind.
+constexpr std::array<uint16_t, 256> kTagTable = [] {
+    std::array<uint16_t, 256> table{};
+    for (unsigned tag = 0; tag < 256; ++tag) {
+        unsigned len = 0, high = 0, trailer = 0;
+        switch (tag & 3) {
+          case 0:
+            len = (tag >> 2) + 1;
+            trailer = len > kMaxLiteralTagLen ? len - kMaxLiteralTagLen : 0;
+            break;
+          case 1:
+            len = 4 + ((tag >> 2) & 7);
+            high = tag >> 5;
+            trailer = 1;
+            break;
+          case 2: len = (tag >> 2) + 1; trailer = 2; break;
+          case 3: len = (tag >> 2) + 1; trailer = 4; break;
+        }
+        table[tag] =
+            static_cast<uint16_t>(len | (high << 8) | (trailer << 11));
+    }
+    return table;
+}();
+
+constexpr uint32_t kTrailerMask[5] = {0, 0xff, 0xffff, 0xffffff,
+                                      0xffffffff};
+
+// Room past a copy's end that lets the decoder use fixed-size 8-byte
+// moves: they may spill up to 15 bytes beyond the element, all inside
+// the output and all rewritten by the elements that follow.
+constexpr size_t kCopySlack = 16;
+
+void
+copy8(uint8_t *dst, const uint8_t *src)
+{
+    uint64_t v = loadUnaligned<uint64_t>(src);
+    std::memcpy(dst, &v, 8);
+}
+
+void
+copy16(uint8_t *dst, const uint8_t *src)
+{
+    uint64_t lo = loadUnaligned<uint64_t>(src);
+    uint64_t hi = loadUnaligned<uint64_t>(src + 8);
+    std::memcpy(dst, &lo, 8);
+    std::memcpy(dst + 8, &hi, 8);
+}
+
+// Writes op[i] = op[i - offset] for i < len, where 0 < offset <= op -
+// output start and op + len <= op_end. The bytes from op - offset repeat
+// with period `offset`, so copying from a source D bytes back is exact
+// for any multiple D of the period.
+void
+copyMatch(uint8_t *op, uint8_t *op_end, size_t offset, size_t len)
+{
+    const uint8_t *src = op - offset;
+    uint8_t *const end = op + len;
+    if (static_cast<size_t>(op_end - op) >= len + kCopySlack) {
+        // Widen a period shorter than a word: each 8-byte move gets its
+        // first (op - src) bytes right, which doubles the distance.
+        while (op - src < 8) {
+            copy8(op, src);
+            op += op - src;
+        }
+        // Now every 8-byte source lies wholly before its destination.
+        for (; op < end; op += 8, src += 8)
+            copy8(op, src);
+        return;
+    }
+    // Near the output's end: exact moves only. Each memcpy is
+    // non-overlapping, and the distance doubles every step.
+    while (op < end) {
+        size_t n = std::min(static_cast<size_t>(end - op),
+                            static_cast<size_t>(op - src));
+        std::memcpy(op, src, n);
+        op += n;
+    }
+}
+
 } // namespace
 
 Bytes
@@ -154,67 +239,67 @@ snappyDecompress(Slice input)
     if (ulen.value() > 64 * input.size() + 1024)
         return Status::corruption("snappy length claim implausibly large");
 
-    Bytes out;
-    out.reserve(ulen.value());
-
-    while (!reader.atEnd()) {
-        auto tag_r = reader.getU8();
-        if (!tag_r.isOk())
-            return tag_r.status();
-        uint8_t tag = tag_r.value();
-        switch (tag & 3) {
-          case 0: { // literal
-            size_t len = (tag >> 2) + 1;
-            if (len > kMaxLiteralTagLen) {
-                int extra = static_cast<int>(len - kMaxLiteralTagLen);
-                uint64_t n = 0;
-                for (int i = 0; i < extra; ++i) {
-                    auto b = reader.getU8();
-                    if (!b.isOk())
-                        return b.status();
-                    n |= static_cast<uint64_t>(b.value()) << (8 * i);
-                }
-                len = n + 1;
-            }
-            auto raw = reader.getRaw(len);
-            if (!raw.isOk())
-                return raw.status();
-            appendBytes(out, raw.value());
-            break;
-          }
-          case 1: { // copy, 1-byte offset
-            size_t len = 4 + ((tag >> 2) & 0x7);
-            auto b = reader.getU8();
-            if (!b.isOk())
-                return b.status();
-            size_t offset = (static_cast<size_t>(tag >> 5) << 8) | b.value();
-            if (offset == 0 || offset > out.size())
-                return Status::corruption("snappy copy offset out of range");
-            for (size_t i = 0; i < len; ++i)
-                out.push_back(out[out.size() - offset]);
-            break;
-          }
-          case 2:
-          case 3: { // copy, 2- or 4-byte offset
-            size_t len = (tag >> 2) + 1;
-            int off_bytes = ((tag & 3) == 2) ? 2 : 4;
-            uint64_t offset = 0;
-            for (int i = 0; i < off_bytes; ++i) {
-                auto b = reader.getU8();
-                if (!b.isOk())
-                    return b.status();
-                offset |= static_cast<uint64_t>(b.value()) << (8 * i);
-            }
-            if (offset == 0 || offset > out.size())
-                return Status::corruption("snappy copy offset out of range");
-            for (size_t i = 0; i < len; ++i)
-                out.push_back(out[out.size() - offset]);
-            break;
-          }
-        }
-    }
-    if (out.size() != ulen.value())
+    // Sized once from the validated header; every element below checks
+    // that it fits before writing, so the output never grows or moves.
+    Bytes out(ulen.value());
+    uint8_t *const base = out.data();
+    uint8_t *const op_end = base + out.size();
+    uint8_t *op = base;
+    const uint8_t *ip = input.data() + reader.position();
+    const uint8_t *const ip_end = input.data() + input.size();
+    const auto truncated = [] {
+        return Status::corruption("snappy element truncated");
+    };
+    const auto overrun = [] {
         return Status::corruption("snappy output length mismatch");
+    };
+
+    while (ip < ip_end) {
+        const uint8_t tag = *ip++;
+        const uint16_t entry = kTagTable[tag];
+        const size_t trailer_len = entry >> 11;
+        if (static_cast<size_t>(ip_end - ip) < trailer_len)
+            return truncated();
+        uint32_t trailer = 0;
+        if (ip_end - ip >= 4)
+            trailer = loadUnaligned<uint32_t>(ip) & kTrailerMask[trailer_len];
+        else
+            std::memcpy(&trailer, ip, trailer_len);
+        ip += trailer_len;
+        const size_t out_left = static_cast<size_t>(op_end - op);
+
+        if ((tag & 3) == 0) { // literal
+            const size_t len = trailer_len == 0
+                                   ? static_cast<size_t>(entry & 0xff)
+                                   : static_cast<size_t>(trailer) + 1;
+            const size_t in_left = static_cast<size_t>(ip_end - ip);
+            if (len <= 16 && in_left >= 16 && out_left >= 16) {
+                // Short literal with room on both sides: one fixed-size
+                // move; the bytes past `len` are rewritten later.
+                copy16(op, ip);
+            } else {
+                if (in_left < len)
+                    return truncated();
+                if (out_left < len)
+                    return overrun();
+                std::memcpy(op, ip, len);
+            }
+            op += len;
+            ip += len;
+            continue;
+        }
+
+        const size_t len = entry & 0xff;
+        const size_t offset = (entry & 0x700) + trailer;
+        if (offset == 0 || offset > static_cast<size_t>(op - base))
+            return Status::corruption("snappy copy offset out of range");
+        if (out_left < len)
+            return overrun();
+        copyMatch(op, op_end, offset, len);
+        op += len;
+    }
+    if (op != op_end)
+        return overrun();
     return out;
 }
 

@@ -5,6 +5,7 @@
 #ifndef FUSION_COMMON_BYTES_H
 #define FUSION_COMMON_BYTES_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -14,6 +15,22 @@
 #include "status.h"
 
 namespace fusion {
+
+// Every on-disk integer is little-endian. The decode kernels copy those
+// bytes straight into native integers, so they assume a little-endian
+// host; there is no byte-swapping fork.
+static_assert(std::endian::native == std::endian::little,
+              "decode kernels assume a little-endian host");
+
+/** Loads a T from `p`, which need not be aligned for T. */
+template <typename T>
+inline T
+loadUnaligned(const uint8_t *p)
+{
+    T v{};
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
 
 /** Owning, contiguous, resizable byte buffer. */
 using Bytes = std::vector<uint8_t>;

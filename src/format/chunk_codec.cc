@@ -1,6 +1,7 @@
 #include "chunk_codec.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <type_traits>
 
@@ -77,46 +78,71 @@ plainEncodeRange(const ColumnData &column, size_t begin, size_t end)
     return {};
 }
 
-Status
-plainDecodeInto(BinaryReader &reader, PhysicalType type, size_t count,
-                ColumnData &out)
+// Makes room for `n` more values in one allocation, growing at least
+// geometrically so a chunk of many pages still copies each value O(1)
+// times. Callers bound `n` by validated counts first.
+template <typename T>
+void
+reserveMore(std::vector<T> &values, size_t n)
 {
+    if (values.capacity() - values.size() < n)
+        values.reserve(std::max(values.size() + n, 2 * values.capacity()));
+}
+
+// Plain-decodes `count` fixed-width values: one length check, one copy.
+// Bytes past the last value are ignored, as for every plain page.
+template <typename T>
+Status
+plainDecodeFixed(Slice page, size_t count, std::vector<T> &out)
+{
+    if (page.size() / sizeof(T) < count)
+        return Status::corruption("plain page truncated");
+    const size_t at = out.size();
+    out.resize(at + count);
+    if (count > 0)
+        std::memcpy(out.data() + at, page.data(), count * sizeof(T));
+    return Status::ok();
+}
+
+// Plain-decodes `count` strings, each a u32 length then its bytes, with
+// a pointer walk into storage reserved up front.
+Status
+plainDecodeStrings(Slice page, size_t count, std::vector<std::string> &out)
+{
+    // Every string costs at least its 4-byte length, which bounds
+    // `count` by the page before anything is allocated.
+    if (page.size() / 4 < count)
+        return Status::corruption("plain page truncated");
+    reserveMore(out, count);
+    const uint8_t *p = page.data();
+    const uint8_t *const end = p + page.size();
     for (size_t i = 0; i < count; ++i) {
-        switch (type) {
-          case PhysicalType::kInt32: {
-            auto v = reader.getI32();
-            if (!v.isOk())
-                return v.status();
-            out.append(v.value());
-            break;
-          }
-          case PhysicalType::kInt64: {
-            auto v = reader.getI64();
-            if (!v.isOk())
-                return v.status();
-            out.append(v.value());
-            break;
-          }
-          case PhysicalType::kDouble: {
-            auto v = reader.getDouble();
-            if (!v.isOk())
-                return v.status();
-            out.append(v.value());
-            break;
-          }
-          case PhysicalType::kString: {
-            auto len = reader.getU32();
-            if (!len.isOk())
-                return len.status();
-            auto raw = reader.getRaw(len.value());
-            if (!raw.isOk())
-                return raw.status();
-            out.append(raw.value().toString());
-            break;
-          }
-        }
+        if (end - p < 4)
+            return Status::corruption("plain page truncated");
+        const uint32_t len = loadUnaligned<uint32_t>(p);
+        p += 4;
+        if (static_cast<size_t>(end - p) < len)
+            return Status::corruption("plain page truncated");
+        out.emplace_back(reinterpret_cast<const char *>(p), len);
+        p += len;
     }
     return Status::ok();
+}
+
+Status
+plainDecodeInto(Slice page, PhysicalType type, size_t count, ColumnData &out)
+{
+    switch (type) {
+      case PhysicalType::kInt32:
+        return plainDecodeFixed(page, count, out.sink<int32_t>());
+      case PhysicalType::kInt64:
+        return plainDecodeFixed(page, count, out.sink<int64_t>());
+      case PhysicalType::kDouble:
+        return plainDecodeFixed(page, count, out.sink<double>());
+      case PhysicalType::kString:
+        return plainDecodeStrings(page, count, out.sink<std::string>());
+    }
+    return Status::invalidArgument("unknown physical type");
 }
 
 // Computes min/max over a column; column must be non-empty. Unboxed,
@@ -151,26 +177,67 @@ computeMinMax(const ColumnData &column, Value &min_v, Value &max_v)
     }
 }
 
-// Appends dict[code] for every code, unboxed.
+// Codes unpacked per step of a bit-packed run: a stack buffer that
+// stays in L1 between the unpack and the gather.
+constexpr size_t kCodeBatch = 256;
+
+// Decodes one RLE/bit-packed page of `count` codes straight into `out`
+// through the dictionary. An RLE run checks its one code and fills in
+// bulk; a bit-packed run checks every code it unpacks.
+template <typename T>
 Status
-appendDictionaryValues(const ColumnData &dict,
-                       const std::vector<uint64_t> &codes, ColumnData &out)
+gatherDictionaryPage(const std::vector<T> &dict, Slice rle, int width,
+                     size_t count, std::vector<T> &out)
 {
-    auto gather = [&](const auto &values) {
-        for (uint64_t code : codes) {
-            if (code >= values.size())
-                return Status::corruption("dictionary code out of range");
-            out.append(values[code]);
-        }
-        return Status::ok();
+    const auto out_of_range = [] {
+        return Status::corruption("dictionary code out of range");
     };
-    switch (dict.type()) {
-      case PhysicalType::kInt32: return gather(dict.int32s());
-      case PhysicalType::kInt64: return gather(dict.int64s());
-      case PhysicalType::kDouble: return gather(dict.doubles());
-      case PhysicalType::kString: return gather(dict.strings());
+    reserveMore(out, count);
+    codec::RleReader runs(rle, width, count);
+    codec::RleRun run;
+    uint64_t codes[kCodeBatch];
+    while (runs.remaining() > 0) {
+        FUSION_RETURN_IF_ERROR(runs.next(run));
+        if (!run.packed) {
+            if (run.value >= dict.size())
+                return out_of_range();
+            out.insert(out.end(), run.count, dict[run.value]);
+            continue;
+        }
+        codec::BitUnpacker unpacker(run.bits, width);
+        for (size_t done = 0; done < run.count;) {
+            const size_t n = std::min(kCodeBatch, run.count - done);
+            FUSION_RETURN_IF_ERROR(unpacker.getMany(n, codes));
+            for (size_t i = 0; i < n; ++i) {
+                if (codes[i] >= dict.size())
+                    return out_of_range();
+                out.push_back(dict[codes[i]]);
+            }
+            done += n;
+        }
     }
     return Status::ok();
+}
+
+Status
+gatherDictionaryPage(const ColumnData &dict, Slice rle, int width,
+                     size_t count, ColumnData &out)
+{
+    switch (dict.type()) {
+      case PhysicalType::kInt32:
+        return gatherDictionaryPage(dict.int32s(), rle, width, count,
+                                    out.sink<int32_t>());
+      case PhysicalType::kInt64:
+        return gatherDictionaryPage(dict.int64s(), rle, width, count,
+                                    out.sink<int64_t>());
+      case PhysicalType::kDouble:
+        return gatherDictionaryPage(dict.doubles(), rle, width, count,
+                                    out.sink<double>());
+      case PhysicalType::kString:
+        return gatherDictionaryPage(dict.strings(), rle, width, count,
+                                    out.sink<std::string>());
+    }
+    return Status::invalidArgument("unknown physical type");
 }
 
 // Dictionary-encodes a column into (dict column, codes). Returns false
@@ -222,8 +289,7 @@ Result<ColumnData>
 plainDecode(Slice bytes, PhysicalType type, size_t count)
 {
     ColumnData out(type);
-    BinaryReader reader(bytes);
-    FUSION_RETURN_IF_ERROR(plainDecodeInto(reader, type, count, out));
+    FUSION_RETURN_IF_ERROR(plainDecodeInto(bytes, type, count, out));
     return out;
 }
 
@@ -328,8 +394,8 @@ decodeChunk(Slice bytes, PhysicalType type)
     if (count.value() == 0 || count.value() > kMaxChunkValues)
         return Status::corruption("implausible chunk value count");
 
-    ColumnData out(type);
-
+    ColumnData dict(type);
+    uint8_t width = 0;
     if (encoding == ChunkEncoding::kDictionary) {
         auto dict_count = reader.getVarU64();
         if (!dict_count.isOk())
@@ -343,64 +409,46 @@ decodeChunk(Slice bytes, PhysicalType type)
         auto dict_plain = codec::decompress(compression, dict_page.value());
         if (!dict_plain.isOk())
             return dict_plain.status();
-        auto dict = plainDecode(dict_plain.value(), type,
-                                dict_count.value());
-        if (!dict.isOk())
-            return dict.status();
+        FUSION_RETURN_IF_ERROR(plainDecodeInto(dict_plain.value(), type,
+                                               dict_count.value(), dict));
 
-        auto width = reader.getU8();
-        if (!width.isOk())
-            return width.status();
-        if (width.value() > 32)
+        auto width_tag = reader.getU8();
+        if (!width_tag.isOk())
+            return width_tag.status();
+        if (width_tag.value() > 32)
             return Status::corruption("bad dictionary code width");
-
-        auto num_pages = reader.getVarU64();
-        if (!num_pages.isOk())
-            return num_pages.status();
-        uint64_t decoded = 0;
-        for (uint64_t p = 0; p < num_pages.value(); ++p) {
-            auto page_count = reader.getVarU64();
-            if (!page_count.isOk())
-                return page_count.status();
-            auto page = reader.getLengthPrefixed();
-            if (!page.isOk())
-                return page.status();
-            auto rle = codec::decompress(compression, page.value());
-            if (!rle.isOk())
-                return rle.status();
-            auto codes = codec::rleDecode(rle.value(), width.value(),
-                                          page_count.value());
-            if (!codes.isOk())
-                return codes.status();
-            FUSION_RETURN_IF_ERROR(
-                appendDictionaryValues(dict.value(), codes.value(), out));
-            decoded += page_count.value();
-        }
-        if (decoded != count.value())
-            return Status::corruption("chunk value count mismatch");
-    } else {
-        auto num_pages = reader.getVarU64();
-        if (!num_pages.isOk())
-            return num_pages.status();
-        uint64_t decoded = 0;
-        for (uint64_t p = 0; p < num_pages.value(); ++p) {
-            auto page_count = reader.getVarU64();
-            if (!page_count.isOk())
-                return page_count.status();
-            auto page = reader.getLengthPrefixed();
-            if (!page.isOk())
-                return page.status();
-            auto plain = codec::decompress(compression, page.value());
-            if (!plain.isOk())
-                return plain.status();
-            BinaryReader page_reader{Slice(plain.value())};
-            FUSION_RETURN_IF_ERROR(plainDecodeInto(
-                page_reader, type, page_count.value(), out));
-            decoded += page_count.value();
-        }
-        if (decoded != count.value())
-            return Status::corruption("chunk value count mismatch");
+        width = width_tag.value();
     }
+
+    ColumnData out(type);
+    auto num_pages = reader.getVarU64();
+    if (!num_pages.isOk())
+        return num_pages.status();
+    uint64_t decoded = 0;
+    for (uint64_t p = 0; p < num_pages.value(); ++p) {
+        auto page_count = reader.getVarU64();
+        if (!page_count.isOk())
+            return page_count.status();
+        // Every kernel below sizes its output from this count, so it is
+        // bounded by the chunk's (already bounded) count first.
+        if (page_count.value() > count.value() - decoded)
+            return Status::corruption("page value count exceeds chunk");
+        auto page = reader.getLengthPrefixed();
+        if (!page.isOk())
+            return page.status();
+        auto body = codec::decompress(compression, page.value());
+        if (!body.isOk())
+            return body.status();
+        FUSION_RETURN_IF_ERROR(
+            encoding == ChunkEncoding::kDictionary
+                ? gatherDictionaryPage(dict, body.value(), width,
+                                       page_count.value(), out)
+                : plainDecodeInto(body.value(), type, page_count.value(),
+                                  out));
+        decoded += page_count.value();
+    }
+    if (decoded != count.value())
+        return Status::corruption("chunk value count mismatch");
     return out;
 }
 

@@ -37,6 +37,18 @@ class ColumnData
         std::get<Strings>(data_).push_back(std::move(v));
     }
 
+    /**
+     * Typed bulk-append sink: the column's value vector, for decoders
+     * that append runs of T (the column's value type) directly instead
+     * of one variant-dispatched value at a time.
+     */
+    template <typename T>
+    std::vector<T> &
+    sink()
+    {
+        return std::get<std::vector<T>>(data_);
+    }
+
     /** Appends every value of `other`, another column of this type. */
     void append(const ColumnData &other);
 

@@ -87,10 +87,13 @@ Query::toString() const
         out += " ";
         out += compareOpName(filters[i].op);
         out += " ";
-        if (filters[i].literal.type() == format::PhysicalType::kString)
-            out += "'" + filters[i].literal.toString() + "'";
-        else
-            out += filters[i].literal.toString();
+        const bool quoted =
+            filters[i].literal.type() == format::PhysicalType::kString;
+        if (quoted)
+            out += "'";
+        out += filters[i].literal.toString();
+        if (quoted)
+            out += "'";
     }
     return out;
 }

@@ -54,11 +54,9 @@ TEST_P(BitPackRoundTrip, RandomValues)
     EXPECT_EQ(buf.size(), (values.size() * width + 7) / 8);
 
     BitUnpacker unpacker(Slice(buf), width);
-    for (uint64_t v : values) {
-        auto got = unpacker.get();
-        ASSERT_TRUE(got.isOk());
-        EXPECT_EQ(got.value(), v);
-    }
+    std::vector<uint64_t> got(values.size());
+    ASSERT_TRUE(unpacker.getMany(got.size(), got.data()).isOk());
+    EXPECT_EQ(got, values);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitPackRoundTrip,
@@ -72,8 +70,10 @@ TEST(BitPackTest, ExhaustedStreamIsCorruption)
     packer.put(7);
     packer.flush();
     BitUnpacker unpacker(Slice(buf), 8);
-    EXPECT_TRUE(unpacker.get().isOk());
-    EXPECT_EQ(unpacker.get().status().code(), StatusCode::kCorruption);
+    uint64_t v = 0;
+    EXPECT_TRUE(unpacker.getMany(1, &v).isOk());
+    EXPECT_EQ(v, 7u);
+    EXPECT_EQ(unpacker.getMany(1, &v).code(), StatusCode::kCorruption);
 }
 
 struct RleCase {

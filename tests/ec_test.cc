@@ -232,8 +232,11 @@ INSTANTIATE_TEST_SUITE_P(Configs, RsRoundTrip,
                                            RsConfig{9, 6}, RsConfig{14, 10},
                                            RsConfig{16, 12}),
                          [](const auto &info) {
-                             return "n" + std::to_string(info.param.n) +
-                                    "k" + std::to_string(info.param.k);
+                             std::string name = "n";
+                             name += std::to_string(info.param.n);
+                             name += "k";
+                             name += std::to_string(info.param.k);
+                             return name;
                          });
 
 TEST(ReedSolomonTest, VariableSizeBlocksZeroExtended)

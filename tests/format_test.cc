@@ -7,7 +7,9 @@
 
 #include <ostream>
 
+#include "codec/rle.h"
 #include "common/random.h"
+#include "common/serde.h"
 #include "format/chunk_codec.h"
 #include "format/column.h"
 #include "format/metadata.h"
@@ -254,9 +256,12 @@ TEST(ChunkCodecTest, PlainEncodeDecodeAllTypes)
                 col.append(int64_t(i) << 32);
                 break;
               case PhysicalType::kDouble: col.append(i * 0.25); break;
-              case PhysicalType::kString:
-                col.append("s" + std::to_string(i));
+              case PhysicalType::kString: {
+                std::string s = "s";
+                s += std::to_string(i);
+                col.append(std::move(s));
                 break;
+              }
             }
         }
         Bytes plain = plainEncode(col);
@@ -329,6 +334,40 @@ TEST(ChunkCodecTest, TruncatedOrMistaggedReplyIsAnError)
                     << physicalTypeName(type) << " tag " << int(tag);
             }
         }
+    }
+}
+
+TEST(ChunkCodecTest, PageCountBeyondChunkCountIsCorruption)
+{
+    // A ten-value chunk whose one page claims 2^40 values. The decoders
+    // size their output from the page count, so an unchecked claim would
+    // try to allocate terabytes instead of reporting corruption.
+    const uint64_t kHugePage = uint64_t{1} << 40;
+    for (ChunkEncoding encoding :
+         {ChunkEncoding::kDictionary, ChunkEncoding::kPlain}) {
+        Bytes chunk;
+        BinaryWriter writer(chunk);
+        writer.putU8(static_cast<uint8_t>(encoding));
+        writer.putU8(static_cast<uint8_t>(codec::Compression::kNone));
+        writer.putVarU64(10); // valueCount
+        Bytes page;
+        if (encoding == ChunkEncoding::kDictionary) {
+            ColumnData dict(PhysicalType::kInt64);
+            dict.append(int64_t{42});
+            writer.putVarU64(1); // dictCount
+            writer.putLengthPrefixed(plainEncode(dict));
+            writer.putU8(0);                                   // code width
+            page = codec::rleEncode(std::vector<uint64_t>(10, 0), 0);
+        } else {
+            page = plainEncode(makeIntColumn(10, 7, 3));
+        }
+        writer.putVarU64(1); // numDataPages
+        writer.putVarU64(kHugePage);
+        writer.putLengthPrefixed(page);
+
+        auto decoded = decodeChunk(Slice(chunk), PhysicalType::kInt64);
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+            << "encoding " << static_cast<int>(encoding);
     }
 }
 

@@ -2,12 +2,14 @@
  * @file
  * Equivalence tests for the performance layer. The optimized kernels —
  * split-table / SIMD GF(256) multiply-accumulate, tiled+pooled
- * Reed-Solomon, and the word-wise typed predicate/select/aggregate
- * kernels — must be bit-identical to their simple reference
- * implementations on every input, including unaligned lengths, zero
- * coefficients, NaN doubles, and empty columns. The thread pool must
- * leave all simulated-time query results and fault.* counters unchanged for
- * any FUSION_THREADS value.
+ * Reed-Solomon, the word-wise typed predicate/select/aggregate kernels,
+ * and the word-at-a-time decode kernels (Snappy, bit-unpacking, RLE,
+ * plain pages, dictionary gather) — must be bit-identical to their
+ * simple reference implementations on every input, including unaligned
+ * lengths, zero coefficients, NaN doubles, and empty columns; on
+ * corrupt input a decode kernel rejects exactly when its reference does.
+ * The thread pool must leave all simulated-time query results and
+ * fault.* counters unchanged for any FUSION_THREADS value.
  */
 #include <gtest/gtest.h>
 
@@ -16,15 +18,21 @@
 #include <limits>
 #include <memory>
 
+#include "codec/bitpack.h"
+#include "codec/rle.h"
+#include "codec/snappy.h"
 #include "common/random.h"
+#include "common/serde.h"
 #include "common/thread_pool.h"
 #include "ec/reed_solomon.h"
 #include "fault_counters.h"
+#include "format/chunk_codec.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "sim/fault.h"
 #include "store/fusion_store.h"
 #include "workload/lineitem.h"
+#include "workload/taxi.h"
 
 namespace fusion {
 namespace {
@@ -305,6 +313,683 @@ TEST(AggregateKernelTest, TypedReductionMatchesBoxedLoop)
         ASSERT_TRUE(fast.isOk());
         // Identical iteration order ⇒ bit-identical doubles.
         EXPECT_EQ(fast.value(), boxed(kind));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decode kernels: word-at-a-time Snappy, bit-unpacking, RLE, plain
+// pages and the fused dictionary gather vs the byte-at-a-time decoders
+// they replaced, kept verbatim below as the reference oracle.
+// ---------------------------------------------------------------------
+
+namespace oracle {
+
+Result<Bytes>
+snappyDecompress(Slice input)
+{
+    BinaryReader reader(input);
+    auto ulen = reader.getVarU64();
+    if (!ulen.isOk())
+        return ulen.status();
+    if (ulen.value() > 64 * input.size() + 1024)
+        return Status::corruption("snappy length claim implausibly large");
+
+    Bytes out;
+    out.reserve(ulen.value());
+
+    while (!reader.atEnd()) {
+        auto tag_r = reader.getU8();
+        if (!tag_r.isOk())
+            return tag_r.status();
+        uint8_t tag = tag_r.value();
+        switch (tag & 3) {
+          case 0: { // literal
+            size_t len = (tag >> 2) + 1;
+            if (len > 60) {
+                int extra = static_cast<int>(len - 60);
+                uint64_t n = 0;
+                for (int i = 0; i < extra; ++i) {
+                    auto b = reader.getU8();
+                    if (!b.isOk())
+                        return b.status();
+                    n |= static_cast<uint64_t>(b.value()) << (8 * i);
+                }
+                len = n + 1;
+            }
+            auto raw = reader.getRaw(len);
+            if (!raw.isOk())
+                return raw.status();
+            appendBytes(out, raw.value());
+            break;
+          }
+          case 1: { // copy, 1-byte offset
+            size_t len = 4 + ((tag >> 2) & 0x7);
+            auto b = reader.getU8();
+            if (!b.isOk())
+                return b.status();
+            size_t offset = (static_cast<size_t>(tag >> 5) << 8) | b.value();
+            if (offset == 0 || offset > out.size())
+                return Status::corruption("snappy copy offset out of range");
+            for (size_t i = 0; i < len; ++i)
+                out.push_back(out[out.size() - offset]);
+            break;
+          }
+          case 2:
+          case 3: { // copy, 2- or 4-byte offset
+            size_t len = (tag >> 2) + 1;
+            int off_bytes = ((tag & 3) == 2) ? 2 : 4;
+            uint64_t offset = 0;
+            for (int i = 0; i < off_bytes; ++i) {
+                auto b = reader.getU8();
+                if (!b.isOk())
+                    return b.status();
+                offset |= static_cast<uint64_t>(b.value()) << (8 * i);
+            }
+            if (offset == 0 || offset > out.size())
+                return Status::corruption("snappy copy offset out of range");
+            for (size_t i = 0; i < len; ++i)
+                out.push_back(out[out.size() - offset]);
+            break;
+          }
+        }
+    }
+    if (out.size() != ulen.value())
+        return Status::corruption("snappy output length mismatch");
+    return out;
+}
+
+class BitUnpacker
+{
+  public:
+    BitUnpacker(Slice input, int width) : input_(input), width_(width) {}
+
+    Result<uint64_t>
+    get()
+    {
+        if (width_ == 0)
+            return uint64_t{0};
+        uint64_t value = 0;
+        int have = 0;
+        while (have < width_) {
+            if (pendingBits_ == 0) {
+                if (bytePos_ >= input_.size())
+                    return Status::corruption("bit stream exhausted");
+                pending_ = input_[bytePos_++];
+                pendingBits_ = 8;
+            }
+            int take = std::min(width_ - have, pendingBits_);
+            uint64_t mask = (1ULL << take) - 1;
+            value |= (pending_ & mask) << have;
+            pending_ >>= take;
+            pendingBits_ -= take;
+            have += take;
+        }
+        return value;
+    }
+
+    Status
+    getMany(size_t count, std::vector<uint64_t> &out)
+    {
+        out.reserve(out.size() + count);
+        for (size_t i = 0; i < count; ++i) {
+            auto v = get();
+            if (!v.isOk())
+                return v.status();
+            out.push_back(v.value());
+        }
+        return Status::ok();
+    }
+
+  private:
+    Slice input_;
+    int width_;
+    size_t bytePos_ = 0;
+    uint64_t pending_ = 0;
+    int pendingBits_ = 0;
+};
+
+Result<std::vector<uint64_t>>
+rleDecode(Slice input, int width, size_t count)
+{
+    std::vector<uint64_t> out;
+    out.reserve(count);
+    BinaryReader reader(input);
+    int value_bytes = (width + 7) / 8;
+
+    while (out.size() < count) {
+        auto header = reader.getVarU64();
+        if (!header.isOk())
+            return header.status();
+        uint64_t h = header.value();
+        if (h & 1) {
+            uint64_t literals = h >> 1;
+            if (literals == 0 || literals > (1 << 24))
+                return Status::corruption("bad RLE literal count");
+            if (literals > count - out.size())
+                return Status::corruption("RLE literals exceed value count");
+            size_t packed_bytes = (literals * width + 7) / 8;
+            auto raw = reader.getRaw(packed_bytes);
+            if (!raw.isOk())
+                return raw.status();
+            BitUnpacker unpacker(raw.value(), width);
+            FUSION_RETURN_IF_ERROR(unpacker.getMany(literals, out));
+        } else {
+            uint64_t run = h >> 1;
+            if (run == 0)
+                return Status::corruption("zero-length RLE run");
+            if (run > count - out.size())
+                return Status::corruption("RLE run exceeds value count");
+            uint64_t value = 0;
+            for (int b = 0; b < value_bytes; ++b) {
+                auto byte = reader.getU8();
+                if (!byte.isOk())
+                    return byte.status();
+                value |= static_cast<uint64_t>(byte.value()) << (8 * b);
+            }
+            out.insert(out.end(), run, value);
+        }
+    }
+    return out;
+}
+
+Status
+plainDecodeInto(BinaryReader &reader, PhysicalType type, size_t count,
+                ColumnData &out)
+{
+    for (size_t i = 0; i < count; ++i) {
+        switch (type) {
+          case PhysicalType::kInt32: {
+            auto v = reader.getI32();
+            if (!v.isOk())
+                return v.status();
+            out.append(v.value());
+            break;
+          }
+          case PhysicalType::kInt64: {
+            auto v = reader.getI64();
+            if (!v.isOk())
+                return v.status();
+            out.append(v.value());
+            break;
+          }
+          case PhysicalType::kDouble: {
+            auto v = reader.getDouble();
+            if (!v.isOk())
+                return v.status();
+            out.append(v.value());
+            break;
+          }
+          case PhysicalType::kString: {
+            auto len = reader.getU32();
+            if (!len.isOk())
+                return len.status();
+            auto raw = reader.getRaw(len.value());
+            if (!raw.isOk())
+                return raw.status();
+            out.append(raw.value().toString());
+            break;
+          }
+        }
+    }
+    return Status::ok();
+}
+
+Result<ColumnData>
+plainDecode(Slice bytes, PhysicalType type, size_t count)
+{
+    ColumnData out(type);
+    BinaryReader reader(bytes);
+    FUSION_RETURN_IF_ERROR(plainDecodeInto(reader, type, count, out));
+    return out;
+}
+
+Status
+appendDictionaryValues(const ColumnData &dict,
+                       const std::vector<uint64_t> &codes, ColumnData &out)
+{
+    auto gather = [&](const auto &values) {
+        for (uint64_t code : codes) {
+            if (code >= values.size())
+                return Status::corruption("dictionary code out of range");
+            out.append(values[code]);
+        }
+        return Status::ok();
+    };
+    switch (dict.type()) {
+      case PhysicalType::kInt32: return gather(dict.int32s());
+      case PhysicalType::kInt64: return gather(dict.int64s());
+      case PhysicalType::kDouble: return gather(dict.doubles());
+      case PhysicalType::kString: return gather(dict.strings());
+    }
+    return Status::ok();
+}
+
+Result<Bytes>
+decompressPage(codec::Compression c, Slice input)
+{
+    if (c == codec::Compression::kSnappy)
+        return snappyDecompress(input);
+    return input.toBytes();
+}
+
+// The chunk decoder as it was, built from the oracle pieces above, plus
+// the one check the kernels added: a page may not claim more values
+// than the chunk has left (without it a corrupt page count reserves an
+// unbounded buffer and aborts the process).
+Result<ColumnData>
+decodeChunk(Slice bytes, PhysicalType type)
+{
+    BinaryReader reader(bytes);
+    auto enc_tag = reader.getU8();
+    if (!enc_tag.isOk())
+        return enc_tag.status();
+    if (enc_tag.value() > 1)
+        return Status::corruption("bad chunk encoding tag");
+    auto encoding = static_cast<format::ChunkEncoding>(enc_tag.value());
+    auto comp_tag = reader.getU8();
+    if (!comp_tag.isOk())
+        return comp_tag.status();
+    if (comp_tag.value() > 1)
+        return Status::corruption("bad chunk compression tag");
+    auto compression = static_cast<codec::Compression>(comp_tag.value());
+    auto count = reader.getVarU64();
+    if (!count.isOk())
+        return count.status();
+    if (count.value() == 0 || count.value() > (1ULL << 28))
+        return Status::corruption("implausible chunk value count");
+
+    ColumnData out(type);
+    ColumnData dict(type);
+    int width = 0;
+    const bool dictionary = encoding == format::ChunkEncoding::kDictionary;
+    if (dictionary) {
+        auto dict_count = reader.getVarU64();
+        if (!dict_count.isOk())
+            return dict_count.status();
+        if (dict_count.value() == 0 || dict_count.value() > count.value())
+            return Status::corruption("implausible dictionary size");
+        auto dict_page = reader.getLengthPrefixed();
+        if (!dict_page.isOk())
+            return dict_page.status();
+        auto dict_plain = decompressPage(compression, dict_page.value());
+        if (!dict_plain.isOk())
+            return dict_plain.status();
+        auto d = oracle::plainDecode(dict_plain.value(), type,
+                                     dict_count.value());
+        if (!d.isOk())
+            return d.status();
+        dict = std::move(d.value());
+        auto w = reader.getU8();
+        if (!w.isOk())
+            return w.status();
+        if (w.value() > 32)
+            return Status::corruption("bad dictionary code width");
+        width = w.value();
+    }
+    auto num_pages = reader.getVarU64();
+    if (!num_pages.isOk())
+        return num_pages.status();
+    uint64_t decoded = 0;
+    for (uint64_t p = 0; p < num_pages.value(); ++p) {
+        auto page_count = reader.getVarU64();
+        if (!page_count.isOk())
+            return page_count.status();
+        if (page_count.value() > count.value() - decoded)
+            return Status::corruption("page value count exceeds chunk");
+        auto page = reader.getLengthPrefixed();
+        if (!page.isOk())
+            return page.status();
+        auto body = decompressPage(compression, page.value());
+        if (!body.isOk())
+            return body.status();
+        if (dictionary) {
+            auto codes =
+                oracle::rleDecode(body.value(), width, page_count.value());
+            if (!codes.isOk())
+                return codes.status();
+            FUSION_RETURN_IF_ERROR(
+                oracle::appendDictionaryValues(dict, codes.value(), out));
+        } else {
+            BinaryReader page_reader{Slice(body.value())};
+            FUSION_RETURN_IF_ERROR(plainDecodeInto(
+                page_reader, type, page_count.value(), out));
+        }
+        decoded += page_count.value();
+    }
+    if (decoded != count.value())
+        return Status::corruption("chunk value count mismatch");
+    return out;
+}
+
+} // namespace oracle
+
+/** Both decoders reject, or both accept with identical output. */
+template <typename T>
+::testing::AssertionResult
+agree(const Result<T> &got, const Result<T> &want)
+{
+    if (got.isOk() != want.isOk())
+        return ::testing::AssertionFailure()
+               << "kernel " << (got.isOk() ? "accepted" : "rejected")
+               << ", oracle " << (want.isOk() ? "accepted" : "rejected")
+               << " (" << (got.isOk() ? want : got).status().toString()
+               << ")";
+    if (!got.isOk()) {
+        if (got.status().code() != want.status().code())
+            return ::testing::AssertionFailure()
+                   << "status " << got.status().toString() << " vs "
+                   << want.status().toString();
+        return ::testing::AssertionSuccess();
+    }
+    if (!(got.value() == want.value()))
+        return ::testing::AssertionFailure() << "outputs differ";
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Builds a valid Snappy stream element by element, covering forms the
+ * compressor never emits: literal lengths carried in 0-4 suffix bytes
+ * whatever their size, copies at every offset from 1 (overlapping) to
+ * far back, in all three copy encodings.
+ */
+Bytes
+randomSnappyStream(Rng &rng, size_t target, Bytes &expect)
+{
+    Bytes body;
+    expect.clear();
+    while (expect.size() < target) {
+        const bool literal = expect.empty() || rng.chance(0.35);
+        if (literal) {
+            size_t len = rng.chance(0.8)
+                             ? static_cast<size_t>(rng.uniformInt(1, 24))
+                             : static_cast<size_t>(rng.uniformInt(1, 300));
+            const size_t n = len - 1;
+            // Fewest suffix bytes that hold n, then maybe more.
+            int min_extra = n < 60 ? 0 : n < 256 ? 1 : n < 65536 ? 2 : 3;
+            int extra = static_cast<int>(rng.uniformInt(min_extra, 4));
+            if (extra == 0) {
+                body.push_back(static_cast<uint8_t>(n << 2));
+            } else {
+                body.push_back(static_cast<uint8_t>((59 + extra) << 2));
+                for (int i = 0; i < extra; ++i)
+                    body.push_back(static_cast<uint8_t>(n >> (8 * i)));
+            }
+            for (size_t i = 0; i < len; ++i) {
+                uint8_t b = static_cast<uint8_t>(rng.uniformInt(0, 3));
+                body.push_back(b);
+                expect.push_back(b);
+            }
+            continue;
+        }
+        const size_t have = expect.size();
+        const int kind = static_cast<int>(rng.uniformInt(1, 3));
+        size_t len = kind == 1 ? static_cast<size_t>(rng.uniformInt(4, 11))
+                               : static_cast<size_t>(rng.uniformInt(1, 64));
+        size_t max_off = kind == 1 ? std::min<size_t>(have, 2047)
+                         : kind == 2 ? std::min<size_t>(have, 65535)
+                                     : have;
+        // Half the copies overlap their own output (offset < len).
+        size_t offset =
+            rng.chance(0.5)
+                ? static_cast<size_t>(
+                      rng.uniformInt(1, std::min(max_off, len)))
+                : static_cast<size_t>(rng.uniformInt(1, max_off));
+        if (kind == 1) {
+            body.push_back(static_cast<uint8_t>(1 | ((len - 4) << 2) |
+                                                ((offset >> 8) << 5)));
+            body.push_back(static_cast<uint8_t>(offset));
+        } else {
+            body.push_back(static_cast<uint8_t>(kind | ((len - 1) << 2)));
+            for (int i = 0; i < (kind == 2 ? 2 : 4); ++i)
+                body.push_back(static_cast<uint8_t>(offset >> (8 * i)));
+        }
+        for (size_t i = 0; i < len; ++i)
+            expect.push_back(expect[expect.size() - offset]);
+    }
+    Bytes stream;
+    BinaryWriter(stream).putVarU64(expect.size());
+    stream.insert(stream.end(), body.begin(), body.end());
+    return stream;
+}
+
+Bytes
+flipOneByte(const Bytes &input, Rng &rng)
+{
+    Bytes out = input;
+    out[rng.pickIndex(out.size())] ^=
+        static_cast<uint8_t>(rng.uniformInt(1, 255));
+    return out;
+}
+
+TEST(SnappyKernelTest, HandBuiltStreamsMatchOracle)
+{
+    Rng rng(11);
+    for (int trial = 0; trial < 400; ++trial) {
+        Bytes expect;
+        size_t target = static_cast<size_t>(
+            trial % 4 == 0 ? rng.uniformInt(0, 40)
+                           : rng.uniformInt(1, 70'000));
+        Bytes stream = randomSnappyStream(rng, target, expect);
+        auto got = codec::snappyDecompress(Slice(stream));
+        ASSERT_TRUE(got.isOk()) << got.status().toString();
+        ASSERT_EQ(got.value(), expect) << "trial " << trial;
+        ASSERT_TRUE(agree(got, oracle::snappyDecompress(Slice(stream))));
+
+        // Cutting any suffix leaves the stream short of its length.
+        for (int cut = 0; cut < 8 && !stream.empty(); ++cut) {
+            const auto cut_at = static_cast<std::ptrdiff_t>(
+                rng.pickIndex(stream.size()));
+            Bytes truncated(stream.begin(), stream.begin() + cut_at);
+            ASSERT_FALSE(codec::snappyDecompress(Slice(truncated)).isOk());
+            ASSERT_FALSE(oracle::snappyDecompress(Slice(truncated)).isOk());
+        }
+        // A flipped byte may still parse; then both must agree exactly.
+        for (int flip = 0; flip < 8 && !stream.empty(); ++flip) {
+            Bytes corrupt = flipOneByte(stream, rng);
+            ASSERT_TRUE(agree(codec::snappyDecompress(Slice(corrupt)),
+                              oracle::snappyDecompress(Slice(corrupt))))
+                << "trial " << trial;
+        }
+    }
+}
+
+TEST(SnappyKernelTest, CompressorOutputMatchesOracle)
+{
+    Rng rng(12);
+    for (size_t size : {0, 1, 7, 15, 16, 17, 63, 64, 65, 1000, 65'536,
+                        200'000}) {
+        for (double runs : {0.0, 0.5, 0.95}) {
+            Bytes input(size);
+            for (size_t i = 0; i < size; ++i) {
+                // Repeat one of the last few bytes with probability `runs`.
+                if (i > 0 && rng.chance(runs)) {
+                    size_t back = 1 + rng.pickIndex(std::min<size_t>(i, 9));
+                    input[i] = input[i - back];
+                } else {
+                    input[i] = static_cast<uint8_t>(rng.next());
+                }
+            }
+            Bytes compressed = codec::snappyCompress(Slice(input));
+            auto got = codec::snappyDecompress(Slice(compressed));
+            ASSERT_TRUE(got.isOk());
+            EXPECT_EQ(got.value(), input);
+            ASSERT_TRUE(
+                agree(got, oracle::snappyDecompress(Slice(compressed))));
+        }
+    }
+}
+
+TEST(BitUnpackKernelTest, EveryWidthAndTailMatchesOracle)
+{
+    Rng rng(13);
+    for (int width = 1; width <= 64; ++width) {
+        const uint64_t mask =
+            width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+        // Counts around one and two 8-byte words of packed bits.
+        for (size_t count : {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 65, 129,
+                             1000}) {
+            Bytes buf;
+            codec::BitPacker packer(buf, width);
+            std::vector<uint64_t> values(count);
+            for (auto &v : values) {
+                v = rng.next() & mask;
+                packer.put(v);
+            }
+            packer.flush();
+
+            // Read in two calls so the second starts mid-byte.
+            const size_t first = rng.pickIndex(count + 1);
+            codec::BitUnpacker kernel(Slice(buf), width);
+            std::vector<uint64_t> got(count);
+            ASSERT_TRUE(kernel.getMany(first, got.data()).isOk());
+            ASSERT_TRUE(
+                kernel.getMany(count - first, got.data() + first).isOk());
+            oracle::BitUnpacker ref(Slice(buf), width);
+            std::vector<uint64_t> want;
+            ASSERT_TRUE(ref.getMany(count, want).isOk());
+            ASSERT_EQ(got, want) << "width " << width << " count " << count;
+            ASSERT_EQ(got, values);
+
+            // One value more than the buffer holds: both reject.
+            const size_t over = buf.size() * 8 / width + 1;
+            std::vector<uint64_t> sink(over);
+            EXPECT_EQ(codec::BitUnpacker(Slice(buf), width)
+                          .getMany(over, sink.data())
+                          .code(),
+                      StatusCode::kCorruption);
+            std::vector<uint64_t> ref_sink;
+            EXPECT_EQ(oracle::BitUnpacker(Slice(buf), width)
+                          .getMany(over, ref_sink)
+                          .code(),
+                      StatusCode::kCorruption);
+        }
+    }
+}
+
+TEST(RleKernelTest, EveryWidthMatchesOracle)
+{
+    Rng rng(14);
+    for (int width = 0; width <= 32; ++width) {
+        const uint64_t mask =
+            width == 0 ? 0 : (uint64_t{1} << width) - 1;
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<uint64_t> values;
+            const size_t n = rng.pickIndex(3000);
+            while (values.size() < n) {
+                uint64_t v = rng.next() & mask;
+                size_t run = rng.chance(0.3) ? rng.pickIndex(40) + 1 : 1;
+                values.insert(values.end(), run, v);
+            }
+            Bytes encoded = codec::rleEncode(values, width);
+            auto got = codec::rleDecode(Slice(encoded), width, values.size());
+            ASSERT_TRUE(got.isOk()) << got.status().toString();
+            ASSERT_EQ(got.value(), values);
+            ASSERT_TRUE(agree(
+                got, oracle::rleDecode(Slice(encoded), width, values.size())));
+            if (encoded.empty())
+                continue;
+            const auto cut_at = static_cast<std::ptrdiff_t>(
+                rng.pickIndex(encoded.size()));
+            Bytes truncated(encoded.begin(), encoded.begin() + cut_at);
+            ASSERT_TRUE(agree(
+                codec::rleDecode(Slice(truncated), width, values.size()),
+                oracle::rleDecode(Slice(truncated), width, values.size())));
+            Bytes corrupt = flipOneByte(encoded, rng);
+            ASSERT_TRUE(agree(
+                codec::rleDecode(Slice(corrupt), width, values.size()),
+                oracle::rleDecode(Slice(corrupt), width, values.size())));
+        }
+    }
+}
+
+ColumnData
+randomColumn(PhysicalType type, size_t n, size_t distinct, Rng &rng)
+{
+    ColumnData col(type);
+    for (size_t i = 0; i < n; ++i) {
+        int64_t k = static_cast<int64_t>(rng.pickIndex(distinct));
+        switch (type) {
+          case PhysicalType::kInt32:
+            col.append(static_cast<int32_t>(k * 7919 - 1000));
+            break;
+          case PhysicalType::kInt64: col.append(k * 1'000'003 - 5); break;
+          case PhysicalType::kDouble:
+            col.append(0.25 * static_cast<double>(k));
+            break;
+          case PhysicalType::kString:
+            col.append(std::string(static_cast<size_t>(k % 23), 'a') +
+                       std::to_string(k));
+            break;
+        }
+    }
+    return col;
+}
+
+TEST(PlainPageKernelTest, EveryTypeMatchesOracle)
+{
+    Rng rng(15);
+    for (PhysicalType type : {PhysicalType::kInt32, PhysicalType::kInt64,
+                              PhysicalType::kDouble, PhysicalType::kString}) {
+        for (size_t n : {0, 1, 2, 9, 1000}) {
+            ColumnData col = randomColumn(type, n, 1'000'000, rng);
+            Bytes plain = format::plainEncode(col);
+            auto got = format::plainDecode(Slice(plain), type, n);
+            ASSERT_TRUE(got.isOk());
+            ASSERT_EQ(got.value(), col);
+            ASSERT_TRUE(
+                agree(got, oracle::plainDecode(Slice(plain), type, n)));
+            if (plain.empty())
+                continue;
+            for (int cut = 0; cut < 4; ++cut) {
+                Slice short_page(plain.data(), rng.pickIndex(plain.size()));
+                ASSERT_FALSE(format::plainDecode(short_page, type, n).isOk());
+                ASSERT_FALSE(oracle::plainDecode(short_page, type, n).isOk());
+            }
+        }
+    }
+}
+
+TEST(ChunkDecodeKernelTest, EncodedChunksMatchOracleAndSurviveFlips)
+{
+    Rng rng(16);
+    for (PhysicalType type : {PhysicalType::kInt32, PhysicalType::kInt64,
+                              PhysicalType::kDouble, PhysicalType::kString}) {
+        for (size_t distinct : {1, 2, 40, 5000}) {
+            for (size_t page : {7, 1000, 20000}) {
+                ColumnData col = randomColumn(type, 3000, distinct, rng);
+                format::ChunkEncodeOptions options;
+                options.pageValueCount = page;
+                Bytes chunk = format::encodeChunk(col, options).bytes;
+                auto got = format::decodeChunk(Slice(chunk), type);
+                ASSERT_TRUE(got.isOk()) << got.status().toString();
+                ASSERT_EQ(got.value(), col);
+                ASSERT_TRUE(
+                    agree(got, oracle::decodeChunk(Slice(chunk), type)));
+                for (int flip = 0; flip < 10; ++flip) {
+                    Bytes corrupt = flipOneByte(chunk, rng);
+                    ASSERT_TRUE(
+                        agree(format::decodeChunk(Slice(corrupt), type),
+                              oracle::decodeChunk(Slice(corrupt), type)));
+                }
+            }
+        }
+    }
+}
+
+TEST(ChunkDecodeKernelTest, LineitemAndTaxiChunksMatchOracle)
+{
+    for (const format::Table &table :
+         {workload::makeLineitemTable(6000, 42),
+          workload::makeTaxiTable(6000, 42)}) {
+        for (size_t c = 0; c < table.numColumns(); ++c) {
+            const ColumnData &col = table.column(c);
+            Bytes chunk = format::encodeChunk(col, {}).bytes;
+            auto got = format::decodeChunk(Slice(chunk), col.type());
+            ASSERT_TRUE(got.isOk());
+            ASSERT_EQ(got.value(), col);
+            ASSERT_TRUE(
+                agree(got, oracle::decodeChunk(Slice(chunk), col.type())));
+        }
     }
 }
 
