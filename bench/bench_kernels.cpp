@@ -4,10 +4,11 @@
  * loops the performance layer optimizes — GF(256) multiply-accumulate
  * (legacy log/exp loop vs blocked scalar vs SIMD), Reed-Solomon
  * encode/reconstruct, the typed predicate/select/aggregate query
- * kernels, and the decode kernels (Snappy, bit-unpacking, dictionary
- * and plain lineitem chunks; MB/s counts plain-encoded bytes out) —
- * and writes the numbers to BENCH_kernels.json so every commit's kernel
- * throughput is recorded.
+ * kernels, the decode kernels (Snappy, bit-unpacking, dictionary
+ * and plain lineitem chunks; MB/s counts plain-encoded bytes out) and
+ * a fold's file extend (appended rows per second) — and writes the
+ * numbers to BENCH_kernels.json so every commit's kernel throughput is
+ * recorded.
  *
  * Usage:
  *   bench_kernels [--quick] [--out=PATH] [--check=BASELINE]
@@ -32,6 +33,8 @@
 #include "ec/reed_solomon.h"
 #include "format/chunk_codec.h"
 #include "format/column.h"
+#include "format/reader.h"
+#include "format/writer.h"
 #include "query/eval.h"
 #include "workload/lineitem.h"
 
@@ -346,6 +349,22 @@ main(int argc, char **argv)
     add("decode_chunk_plain_mb_per_s",
         throughput(window, plain_bytes, [&]() { decode_all(plain_chunks); }) /
             1e6);
+
+    // ---- fold: extend that file by one ingest fold's 4,000 rows ----
+    // The ten full row groups copy through; only the appended rows are
+    // encoded. krows/s counts appended rows, so a full re-encode of the
+    // 64k merged rows scores far lower.
+    const size_t kFoldRows = 4'000;
+    const format::Table appended = workload::makeLineitemTable(kFoldRows, 43);
+    auto base = format::FileReader::open(Slice(file.value().bytes));
+    FUSION_CHECK(base.isOk());
+    format::WriterOptions fold_options;
+    fold_options.rowGroupRows = meta.rowGroups.front().numRows;
+    add("file_extend_krows_per_s", throughput(window, kFoldRows, [&]() {
+            auto out =
+                format::extendFile(base.value(), appended, fold_options);
+            asm volatile("" : : "r"(&out) : "memory");
+        }) / 1e3);
 
     writeJson(out_path,
               ec::simdLevelName(ec::Gf256::bestSimdLevel()),

@@ -347,7 +347,7 @@ encodeChunk(const ColumnData &column, const ChunkEncodeOptions &options)
             writer.putLengthPrefixed(page);
         }
         // The uncompressed form a projection would ship: plain values.
-        result.plainSize = plainEncode(column).size();
+        result.plainSize = column.plainEncodedSize();
     } else {
         size_t num_pages = (column.size() + page_values - 1) / page_values;
         writer.putVarU64(num_pages);

@@ -30,14 +30,15 @@ ColumnData::size() const
 }
 
 void
-ColumnData::append(const ColumnData &other)
+ColumnData::appendRange(const ColumnData &other, size_t begin, size_t end)
 {
     FUSION_CHECK(other.type() == type() && &other != this);
+    FUSION_CHECK(begin <= end && end <= other.size());
     std::visit(
-        [&other](auto &dst) {
+        [&other, begin, end](auto &dst) {
             const auto &src =
                 std::get<std::decay_t<decltype(dst)>>(other.data_);
-            dst.insert(dst.end(), src.begin(), src.end());
+            dst.insert(dst.end(), src.begin() + begin, src.begin() + end);
         },
         data_);
 }
@@ -118,10 +119,8 @@ Table::sliceRows(size_t begin, size_t end) const
 {
     FUSION_CHECK(begin <= end && end <= numRows());
     Table out(schema_);
-    for (size_t c = 0; c < columns_.size(); ++c) {
-        for (size_t r = begin; r < end; ++r)
-            out.column(c).appendValue(columns_[c].valueAt(r));
-    }
+    for (size_t c = 0; c < columns_.size(); ++c)
+        out.column(c).appendRange(columns_[c], begin, end);
     return out;
 }
 

@@ -49,8 +49,16 @@ class ColumnData
         return std::get<std::vector<T>>(data_);
     }
 
+    /** Appends rows [begin, end) of `other`, another column of this
+     *  type, as one typed range insert. */
+    void appendRange(const ColumnData &other, size_t begin, size_t end);
+
     /** Appends every value of `other`, another column of this type. */
-    void append(const ColumnData &other);
+    void
+    append(const ColumnData &other)
+    {
+        appendRange(other, 0, other.size());
+    }
 
     /** Appends a Value; its type must match the column type. */
     void appendValue(const Value &v);

@@ -77,9 +77,7 @@ FileReader::readColumns(const std::vector<std::string> &column_names) const
             auto chunk = readChunk(rg, ids[out]);
             if (!chunk.isOk())
                 return chunk.status();
-            const ColumnData &data = chunk.value();
-            for (size_t i = 0; i < data.size(); ++i)
-                table.column(out).appendValue(data.valueAt(i));
+            table.column(out).append(chunk.value());
         }
     }
     FUSION_RETURN_IF_ERROR(table.validate());
@@ -95,9 +93,7 @@ FileReader::readTable() const
             auto chunk = readChunk(rg, c);
             if (!chunk.isOk())
                 return chunk.status();
-            const ColumnData &data = chunk.value();
-            for (size_t i = 0; i < data.size(); ++i)
-                table.column(c).appendValue(data.valueAt(i));
+            table.column(c).append(chunk.value());
         }
     }
     FUSION_RETURN_IF_ERROR(table.validate());

@@ -25,6 +25,8 @@ class FileReader
     /** Validates magic/footer and builds a reader. */
     static Result<FileReader> open(Slice file);
 
+    /** The whole file image the reader was opened over. */
+    Slice file() const { return file_; }
     const FileMetadata &metadata() const { return metadata_; }
     const Schema &schema() const { return metadata_.schema; }
 

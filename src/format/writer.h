@@ -13,6 +13,7 @@
 #include "chunk_codec.h"
 #include "column.h"
 #include "metadata.h"
+#include "reader.h"
 
 namespace fusion::format {
 
@@ -37,6 +38,21 @@ struct WrittenFile {
 
 /** Serializes `table` to the fpax format. */
 Result<WrittenFile> writeTable(const Table &table,
+                               const WriterOptions &options);
+
+/**
+ * Returns exactly what writeTable(base ++ appended, options) returns,
+ * encoding only what changed. The longest run of leading base row
+ * groups that hold options.rowGroupRows rows and sit in writeTable's
+ * chunk order is copied through byte for byte; the remaining base row
+ * groups are decoded and re-encoded together with `appended`.
+ *
+ * The copied prefix keeps the base's chunk encoding, so the result
+ * equals writeTable's only when the base was written with
+ * options.chunk; with other chunk options it decodes to the same rows.
+ */
+Result<WrittenFile> extendFile(const FileReader &base,
+                               const Table &appended,
                                const WriterOptions &options);
 
 } // namespace fusion::format

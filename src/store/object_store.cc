@@ -636,7 +636,7 @@ ObjectStore::compactObject(const std::string &name)
     return compactObjectNow(name, it->second.lastSeq());
 }
 
-Result<Bytes>
+Result<const Bytes *>
 ObjectStore::readDeltaSegment(const lifecycle::DeltaSegment &segment)
 {
     for (size_t node_id : segment.replicaNodes) {
@@ -645,71 +645,59 @@ ObjectStore::readDeltaSegment(const lifecycle::DeltaSegment &segment)
             continue;
         const Bytes *block = node.findBlock(segment.blockKey);
         if (block != nullptr)
-            return *block;
+            return block;
     }
     return Status::unavailable(
         "no responsive replica holds delta segment '" + segment.blockKey +
         "'");
 }
 
-Result<format::Table>
-ObjectStore::materializeMergedTable(
-    const ObjectManifest &manifest,
-    const std::vector<const lifecycle::DeltaSegment *> &segments)
+Result<Bytes>
+ObjectStore::readObjectBytes(const ObjectManifest &manifest)
 {
-    // Base bytes via the chunk read path: degraded-read capable, so a
-    // merge (or compaction) survives dead nodes under the EC budget.
-    Bytes base(manifest.objectSize);
+    Bytes out(manifest.objectSize);
     for (const auto &extent : manifest.extents) {
         auto chunk = readChunkBytes(manifest, extent.id);
         if (!chunk.isOk())
             return chunk.status();
         std::copy(chunk.value().begin(), chunk.value().end(),
-                  base.begin() + extent.offset);
+                  out.begin() + extent.offset);
     }
-    auto reader = format::FileReader::open(Slice(base));
+    return out;
+}
+
+Result<format::WrittenFile>
+ObjectStore::materializeMerged(const ObjectManifest &manifest,
+                               const lifecycle::DeltaLog &log,
+                               uint64_t up_to_seq)
+{
+    // Base bytes via the chunk read path: degraded-read capable, so a
+    // merge (or compaction) survives dead nodes under the EC budget.
+    auto base = readObjectBytes(manifest);
+    if (!base.isOk())
+        return base.status();
+    auto reader = format::FileReader::open(Slice(base.value()));
     if (!reader.isOk())
         return reader.status();
-    auto table = reader.value().readTable();
-    if (!table.isOk())
-        return table.status();
-    format::Table merged = std::move(table.value());
-    for (const lifecycle::DeltaSegment *segment : segments) {
-        auto bytes = readDeltaSegment(*segment);
-        if (!bytes.isOk())
-            return bytes.status();
-        auto delta_reader = format::FileReader::open(Slice(bytes.value()));
+    format::Table appended(manifest.fileMeta.schema);
+    for (const auto &segment : log.segments()) {
+        if (segment.seq > up_to_seq)
+            continue;
+        auto block = readDeltaSegment(segment);
+        if (!block.isOk())
+            return block.status();
+        auto delta_reader = format::FileReader::open(Slice(*block.value()));
         if (!delta_reader.isOk())
             return delta_reader.status();
         auto delta = delta_reader.value().readTable();
         if (!delta.isOk())
             return delta.status();
-        for (size_t col = 0; col < merged.numColumns(); ++col) {
-            const format::ColumnData &src = delta.value().column(col);
-            for (size_t i = 0; i < src.size(); ++i)
-                merged.column(col).appendValue(src.valueAt(i));
-        }
+        for (size_t col = 0; col < appended.numColumns(); ++col)
+            appended.column(col).append(delta.value().column(col));
     }
-    return merged;
-}
-
-Result<Bytes>
-ObjectStore::materializeMergedBytes(const ObjectManifest &manifest,
-                                    const lifecycle::DeltaLog &log)
-{
-    std::vector<const lifecycle::DeltaSegment *> segments;
-    segments.reserve(log.size());
-    for (const auto &segment : log.segments())
-        segments.push_back(&segment);
-    auto merged = materializeMergedTable(manifest, segments);
-    if (!merged.isOk())
-        return merged.status();
     format::WriterOptions writer_options;
     writer_options.rowGroupRows = baseRowGroupRows(manifest);
-    auto written = format::writeTable(merged.value(), writer_options);
-    if (!written.isOk())
-        return written.status();
-    return std::move(written.value().bytes);
+    return format::extendFile(reader.value(), appended, writer_options);
 }
 
 void
@@ -738,36 +726,28 @@ ObjectStore::compactObjectNow(const std::string &object, uint64_t seal_seq)
         return Status::ok();
     lifecycle::DeltaLog &log = log_it->second;
 
-    std::vector<const lifecycle::DeltaSegment *> sealed;
+    size_t sealed = 0;
     uint64_t sealed_bytes = 0;
     for (const auto &segment : log.segments()) {
         if (segment.seq <= seal_seq) {
-            sealed.push_back(&segment);
+            ++sealed;
             sealed_bytes += segment.bytes;
         }
     }
-    if (sealed.empty())
+    if (sealed == 0)
         return Status::ok();
 
     const ObjectManifest &old = m->second;
     uint64_t span = obs_.tracer.beginSpan(
         "compaction", "\"object\": \"" + object + "\", \"segments\": " +
-                          std::to_string(sealed.size()) +
+                          std::to_string(sealed) +
                           ", \"generation\": " +
                           std::to_string(old.generation + 1));
 
     // Every fallible step runs before the swap point below, so an
     // abort (e.g. too many nodes down to read the base) leaves the old
     // generation and the full delta log untouched and readable.
-    auto merged = materializeMergedTable(old, sealed);
-    if (!merged.isOk()) {
-        ins_.compactionAborts->add(1);
-        obs_.tracer.endSpan(span);
-        return merged.status();
-    }
-    format::WriterOptions writer_options;
-    writer_options.rowGroupRows = baseRowGroupRows(old);
-    auto written = format::writeTable(merged.value(), writer_options);
+    auto written = materializeMerged(old, log, seal_seq);
     if (!written.isOk()) {
         ins_.compactionAborts->add(1);
         obs_.tracer.endSpan(span);
@@ -807,7 +787,7 @@ ObjectStore::compactObjectNow(const std::string &object, uint64_t seal_seq)
     m->second = std::move(stored.value().manifest);
 
     ins_.compactionRuns->add(1);
-    ins_.compactionFoldedSegments->add(sealed.size());
+    ins_.compactionFoldedSegments->add(sealed);
     ins_.compactionBytesIn->add(bytes_in);
     ins_.compactionBytesOut->add(m->second.objectSize);
     ins_.compactionHotColocated->add(decision.hotChunks.size());
@@ -837,11 +817,11 @@ ObjectStore::mergeDeltaIntoPlan(const ObjectManifest &manifest,
     const double now = cluster_.engine().now();
 
     for (const auto &segment : log.segments()) {
-        auto bytes = readDeltaSegment(segment);
-        if (!bytes.isOk())
-            return bytes.status();
+        auto block = readDeltaSegment(segment);
+        if (!block.isOk())
+            return block.status();
         auto scan = lifecycle::scanDeltaSegment(
-            segment.meta, Slice(bytes.value()), resolved);
+            segment.meta, Slice(*block.value()), resolved);
         if (!scan.isOk())
             return scan.status();
         const lifecycle::DeltaScanResult &sr = scan.value();
@@ -1178,17 +1158,13 @@ ObjectStore::get(const std::string &name)
     // A non-empty delta log returns the merged materialization (base
     // rows plus appends), byte-identical to the post-compaction base.
     auto log = deltaLogs_.find(name);
-    if (log != deltaLogs_.end() && !log->second.empty())
-        return materializeMergedBytes(manifest, log->second);
-    Bytes out(manifest.objectSize);
-    for (const auto &extent : manifest.extents) {
-        auto chunk = readChunkBytes(manifest, extent.id);
-        if (!chunk.isOk())
-            return chunk.status();
-        std::copy(chunk.value().begin(), chunk.value().end(),
-                  out.begin() + extent.offset);
-    }
-    return out;
+    if (log == deltaLogs_.end() || log->second.empty())
+        return readObjectBytes(manifest);
+    auto merged =
+        materializeMerged(manifest, log->second, log->second.lastSeq());
+    if (!merged.isOk())
+        return merged.status();
+    return std::move(merged.value().bytes);
 }
 
 Result<Bytes>
@@ -1199,15 +1175,17 @@ ObjectStore::get(const std::string &name, uint64_t offset, uint64_t size)
         return m.status();
     auto log = deltaLogs_.find(name);
     if (log != deltaLogs_.end() && !log->second.empty()) {
-        auto merged = materializeMergedBytes(*m.value(), log->second);
+        auto merged = materializeMerged(*m.value(), log->second,
+                                        log->second.lastSeq());
         if (!merged.isOk())
             return merged.status();
-        if (offset + size > merged.value().size())
+        const Bytes &bytes = merged.value().bytes;
+        if (size > bytes.size() || offset > bytes.size() - size)
             return Status::outOfRange("read beyond object end");
-        return Bytes(merged.value().begin() + offset,
-                     merged.value().begin() + offset + size);
+        return Bytes(bytes.begin() + offset, bytes.begin() + offset + size);
     }
-    if (offset + size > m.value()->objectSize)
+    const uint64_t total = m.value()->objectSize;
+    if (size > total || offset > total - size)
         return Status::outOfRange("read beyond object end");
     // Reassemble only the chunks overlapping the range.
     Bytes out(size);

@@ -30,6 +30,7 @@
 
 #include "cache/chunk_cache.h"
 #include "ec/reed_solomon.h"
+#include "format/writer.h"
 #include "lifecycle/compactor.h"
 #include "lifecycle/delta_log.h"
 #include "manifest.h"
@@ -756,18 +757,25 @@ class ObjectStore : public lifecycle::CompactionHost
     /** Row-group size the base was written with (first full group). */
     uint64_t baseRowGroupRows(const ObjectManifest &manifest) const;
 
-    /** Reads a replicated delta segment (first responsive replica). */
-    Result<Bytes> readDeltaSegment(const lifecycle::DeltaSegment &segment);
+    /** The stored block of a replicated delta segment (first
+     *  responsive replica); valid until that node's blocks change. */
+    Result<const Bytes *>
+    readDeltaSegment(const lifecycle::DeltaSegment &segment);
 
-    /** Base + appended rows as one table (the merged view). */
-    Result<format::Table>
-    materializeMergedTable(const ObjectManifest &manifest,
-                           const std::vector<const lifecycle::DeltaSegment *>
-                               &segments);
+    /** The whole object reassembled through readChunkBytes. */
+    Result<Bytes> readObjectBytes(const ObjectManifest &manifest);
 
-    /** Merged table re-serialized under the base's writer options. */
-    Result<Bytes> materializeMergedBytes(const ObjectManifest &manifest,
-                                         const lifecycle::DeltaLog &log);
+    /**
+     * The base plus every delta segment with seq <= up_to_seq, as the
+     * fpax file writeTable would make of the merged rows under the
+     * base's row-group size (format::extendFile: the base's full
+     * leading row groups are copied through, only the tail is
+     * re-encoded). The one merge behind get() and compaction, so a
+     * merged get() is byte-identical to the post-fold base.
+     */
+    Result<format::WrittenFile>
+    materializeMerged(const ObjectManifest &manifest,
+                      const lifecycle::DeltaLog &log, uint64_t up_to_seq);
 
     /** Folds every live delta segment into the planned base results:
      *  sim tasks, appended values (base then delta, for every column

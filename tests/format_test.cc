@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 
 #include "codec/rle.h"
@@ -110,6 +111,13 @@ TEST(ColumnDataTest, BulkAppendMatchesBoxedAppendForEveryType)
         head.append(tail);
         EXPECT_TRUE(head == boxed) << physicalTypeName(type);
         EXPECT_EQ(head.size(), 14u);
+
+        ColumnData ranged = makeCyclicColumn(type, 5, 3);
+        ColumnData boxed_range = ranged;
+        for (size_t i = 2; i < 7; ++i)
+            boxed_range.appendValue(tail.valueAt(i));
+        ranged.appendRange(tail, 2, 7);
+        EXPECT_TRUE(ranged == boxed_range) << physicalTypeName(type);
 
         ColumnData empty(type);
         empty.append(ColumnData(type));
@@ -627,6 +635,214 @@ TEST_P(RowGroupSweep, RoundTrip)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RowGroupSweep,
                          ::testing::Values(1, 7, 100, 699, 700, 10000));
+
+// ---- extendFile: a file plus appended rows, encoding only the tail ----
+
+/** 1-5 columns of random physical types. */
+Schema
+randomSchema(Rng &rng)
+{
+    const char *names[] = {"a", "b", "c", "d", "e"};
+    std::vector<ColumnDesc> cols;
+    const size_t n = static_cast<size_t>(rng.uniformInt(1, 5));
+    for (size_t c = 0; c < n; ++c)
+        cols.push_back({names[c], kAllPhysicalTypes[rng.pickIndex(4)],
+                        LogicalType::kNone});
+    return Schema(cols);
+}
+
+/** `rows` random rows; low-cardinality columns take the dictionary
+ *  encoding, high-cardinality ones the plain encoding. */
+Table
+randomTable(const Schema &schema, size_t rows, Rng &rng)
+{
+    Table t(schema);
+    for (size_t c = 0; c < schema.numColumns(); ++c) {
+        const int64_t card = rng.chance(0.5) ? 4 : 1'000'000;
+        for (size_t r = 0; r < rows; ++r) {
+            const int64_t v = rng.uniformInt(0, card);
+            switch (schema.column(c).physical) {
+              case PhysicalType::kInt32:
+                t.column(c).append(static_cast<int32_t>(v));
+                break;
+              case PhysicalType::kInt64: t.column(c).append(v * 7919); break;
+              case PhysicalType::kDouble:
+                t.column(c).append(static_cast<double>(v) * 0.25);
+                break;
+              case PhysicalType::kString:
+                t.column(c).append(std::to_string(v) + "s");
+                break;
+            }
+        }
+    }
+    return t;
+}
+
+Table
+concatTables(const Table &a, const Table &b)
+{
+    Table out = a;
+    for (size_t c = 0; c < out.numColumns(); ++c)
+        out.column(c).append(b.column(c));
+    return out;
+}
+
+/**
+ * An fpax file whose row groups hold `group_rows` rows each — a layout
+ * writeTable never produces. Each group is writeTable's encoding of its
+ * own rows, rebased to its place in the file; group `reversed` stores
+ * its chunks last column first.
+ */
+Bytes
+writeGroups(const Table &t, const std::vector<size_t> &group_rows,
+            size_t reversed = SIZE_MAX)
+{
+    FileMetadata meta;
+    meta.schema = t.schema();
+    meta.numRows = t.numRows();
+    Bytes file(kFileMagic, kFileMagic + sizeof(kFileMagic));
+    size_t begin = 0;
+    for (size_t rows : group_rows) {
+        WriterOptions options;
+        options.rowGroupRows = rows;
+        auto one = writeTable(t.sliceRows(begin, begin + rows), options);
+        FUSION_CHECK(one.isOk());
+        RowGroupMeta rg = one.value().metadata.rowGroups.at(0);
+        std::vector<ChunkMeta *> order;
+        for (ChunkMeta &chunk : rg.chunks)
+            order.push_back(&chunk);
+        if (meta.numRowGroups() == reversed)
+            std::reverse(order.begin(), order.end());
+        for (ChunkMeta *chunk_ptr : order) {
+            ChunkMeta &chunk = *chunk_ptr;
+            const auto from = one.value().bytes.begin() +
+                              static_cast<ptrdiff_t>(chunk.offset);
+            chunk.offset = file.size();
+            chunk.rowGroupId = static_cast<uint32_t>(meta.numRowGroups());
+            file.insert(file.end(), from,
+                        from + static_cast<ptrdiff_t>(chunk.storedSize));
+        }
+        meta.rowGroups.push_back(std::move(rg));
+        begin += rows;
+    }
+    FUSION_CHECK(begin == t.numRows());
+    Bytes footer = meta.serialize();
+    appendBytes(file, footer);
+    BinaryWriter writer(file);
+    writer.putU32(static_cast<uint32_t>(footer.size()));
+    file.insert(file.end(), kFileEndMagic,
+                kFileEndMagic + sizeof(kFileEndMagic));
+    return file;
+}
+
+/** extendFile(base, appended) must equal writeTable(base ++ appended):
+ *  bytes and footer. */
+void
+expectExtendMatchesRewrite(Slice base_file, const Table &base,
+                           const Table &appended,
+                           const WriterOptions &options)
+{
+    auto reader = FileReader::open(base_file);
+    ASSERT_TRUE(reader.isOk());
+    auto extended = extendFile(reader.value(), appended, options);
+    ASSERT_TRUE(extended.isOk()) << extended.status().toString();
+    auto want = writeTable(concatTables(base, appended), options);
+    ASSERT_TRUE(want.isOk());
+    EXPECT_TRUE(extended.value().bytes == want.value().bytes);
+    EXPECT_TRUE(extended.value().metadata.serialize() ==
+                want.value().metadata.serialize());
+}
+
+// Property: over random schemas of all four physical types, random
+// rowGroupRows and random row counts, extending a file is byte-identical
+// to rewriting the concatenated table — whatever shape the base has.
+TEST(ExtendFileTest, MatchesWriteTableOfConcatenation)
+{
+    enum Shape { kMultiple, kPartial, kSingle, kSmall, kLargeAppend };
+    Rng rng(2024);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto shape = static_cast<Shape>(trial % 5);
+        const size_t group = static_cast<size_t>(rng.uniformInt(1, 40));
+        const size_t part = static_cast<size_t>(rng.uniformInt(0, 39));
+        const size_t groups = static_cast<size_t>(rng.uniformInt(2, 5));
+        size_t base_rows = 0;
+        size_t append_rows = static_cast<size_t>(rng.uniformInt(1, 30));
+        switch (shape) {
+          case kMultiple: base_rows = group * groups; break;
+          case kPartial: base_rows = group * groups + 1 + part % group;
+            break;
+          case kSingle: base_rows = group; break;
+          case kSmall: base_rows = 1 + part % group; break;
+          case kLargeAppend:
+            base_rows = group * groups + part % group + 1;
+            append_rows = group * groups + part;
+            break;
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": group " +
+                     std::to_string(group) + ", base " +
+                     std::to_string(base_rows) + ", append " +
+                     std::to_string(append_rows));
+        const Schema schema = randomSchema(rng);
+        const Table base = randomTable(schema, base_rows, rng);
+        const Table appended = randomTable(schema, append_rows, rng);
+        WriterOptions options;
+        options.rowGroupRows = group;
+        auto base_file = writeTable(base, options);
+        ASSERT_TRUE(base_file.isOk());
+        expectExtendMatchesRewrite(Slice(base_file.value().bytes), base,
+                                   appended, options);
+    }
+}
+
+TEST(ExtendFileTest, IrregularLeadingGroupsReencodeFromFirstIrregular)
+{
+    const Table rows = makeTestTable(128); // all four physical types
+    const Table base = rows.sliceRows(0, 95);
+    const Table appended = rows.sliceRows(95, 128);
+    WriterOptions options;
+    options.rowGroupRows = 20;
+    // Groups 0-1 are full; group 2 is short, so groups 2-4 re-encode.
+    const Bytes file = writeGroups(base, {20, 20, 10, 20, 25});
+    expectExtendMatchesRewrite(Slice(file), base, appended, options);
+    // A short first group leaves nothing to copy through.
+    const Bytes short_first = writeGroups(base, {5, 20, 20, 20, 20, 10});
+    expectExtendMatchesRewrite(Slice(short_first), base, appended, options);
+    // Full groups out of writeTable's chunk order re-encode too.
+    const Bytes reordered = writeGroups(base, {20, 20, 20, 20, 15}, 1);
+    expectExtendMatchesRewrite(Slice(reordered), base, appended, options);
+
+    // The copied prefix is the base's own bytes up to the short group.
+    auto reader = FileReader::open(Slice(file));
+    ASSERT_TRUE(reader.isOk());
+    auto extended = extendFile(reader.value(), appended, options);
+    ASSERT_TRUE(extended.isOk());
+    const uint64_t prefix_end = reader.value().metadata().chunk(2, 0).offset;
+    EXPECT_TRUE(std::equal(file.begin(),
+                           file.begin() + static_cast<ptrdiff_t>(prefix_end),
+                           extended.value().bytes.begin()));
+}
+
+TEST(ExtendFileTest, EmptyAppendReturnsTheBaseAndBadInputsFail)
+{
+    Table base = makeTestTable(120);
+    WriterOptions options;
+    options.rowGroupRows = 40;
+    auto base_file = writeTable(base, options);
+    ASSERT_TRUE(base_file.isOk());
+    auto reader = FileReader::open(Slice(base_file.value().bytes));
+    ASSERT_TRUE(reader.isOk());
+    auto same = extendFile(reader.value(), Table(base.schema()), options);
+    ASSERT_TRUE(same.isOk());
+    EXPECT_TRUE(same.value().bytes == base_file.value().bytes);
+
+    Rng rng(5);
+    Schema other({{"x", PhysicalType::kInt32, LogicalType::kNone}});
+    EXPECT_FALSE(
+        extendFile(reader.value(), randomTable(other, 3, rng), options)
+            .isOk());
+    options.rowGroupRows = 0;
+    EXPECT_FALSE(extendFile(reader.value(), base, options).isOk());
+}
 
 } // namespace
 } // namespace fusion::format

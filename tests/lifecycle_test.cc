@@ -19,6 +19,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -302,6 +303,18 @@ TEST(LifecycleCompactionTest, SizeTriggerFoldsLogAndBumpsGeneration)
     auto after = rig.store->get("lineitem");
     ASSERT_TRUE(after.isOk());
     EXPECT_TRUE(after.value() == before.value());
+    // Both come from the copy-through fold; a full rewrite of the merged
+    // table is the independent reference.
+    format::WriterOptions writer_options;
+    writer_options.rowGroupRows = kBaseGroupRows;
+    auto want = format::writeTable(
+        concatTables(
+            concatTables(workload::makeLineitemTable(kBaseRows, 7),
+                         workload::makeLineitemTable(80, 41)),
+            workload::makeLineitemTable(60, 42)),
+        writer_options);
+    ASSERT_TRUE(want.isOk());
+    EXPECT_TRUE(after.value() == want.value().bytes);
     auto count_after =
         rig.store->querySql("SELECT COUNT(*) FROM lineitem");
     ASSERT_TRUE(count_after.isOk());
@@ -400,6 +413,113 @@ TEST(LifecycleCompactionTest, AbortLeavesOldGenerationAndLogIntact)
     auto got = rig.store->get("lineitem");
     ASSERT_TRUE(got.isOk());
     EXPECT_TRUE(got.value() == want.value().bytes);
+}
+
+TEST(LifecycleCompactionTest, FoldWithNMinusKNodesDownIsByteIdentical)
+{
+    TestRig rig = makeRig(noCompactionOptions());
+    auto base = workload::buildLineitemFile(kBaseRows, 7);
+    ASSERT_TRUE(base.isOk());
+    ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
+    format::Table batch_a = workload::makeLineitemTable(150, 71);
+    format::Table batch_b = workload::makeLineitemTable(520, 72);
+    ASSERT_TRUE(rig.store->append("lineitem", batch_a).isOk());
+    ASSERT_TRUE(rig.store->append("lineitem", batch_b).isOk());
+
+    // RS(9,6): kill n - k = 3 nodes, sparing one replica of every delta
+    // segment. The base's copied-through row groups then arrive through
+    // parity rebuilds.
+    std::vector<bool> spared(rig.cluster->numNodes(), false);
+    for (const auto &segment : rig.store->deltaLog("lineitem")->segments())
+        spared[segment.replicaNodes.front()] = true;
+    size_t killed = 0;
+    for (size_t node = 0; node < spared.size() && killed < 3; ++node) {
+        if (!spared[node]) {
+            rig.cluster->killNode(node);
+            ++killed;
+        }
+    }
+    ASSERT_EQ(killed, 3u);
+    rig.store->dropCaches();
+
+    auto folded = rig.store->compactObject("lineitem");
+    ASSERT_TRUE(folded.isOk()) << folded.toString();
+    EXPECT_EQ(rig.store->manifest("lineitem").value()->generation, 1u);
+    EXPECT_GE(rig.store->obs()
+                  .metrics.counter("fault.degraded_chunk_reads")
+                  .value(),
+              1u);
+
+    format::WriterOptions writer_options;
+    writer_options.rowGroupRows = kBaseGroupRows;
+    auto want = format::writeTable(
+        concatTables(
+            concatTables(workload::makeLineitemTable(kBaseRows, 7), batch_a),
+            batch_b),
+        writer_options);
+    ASSERT_TRUE(want.isOk());
+    auto got = rig.store->get("lineitem");
+    ASSERT_TRUE(got.isOk()) << got.status().toString();
+    EXPECT_TRUE(got.value() == want.value().bytes);
+}
+
+TEST(LifecycleCompactionTest, BaseWithOtherChunkOptionsKeepsItsPrefixEncoding)
+{
+    // A base written without dictionaries or compression: the fold
+    // copies its full row groups through as they are and re-encodes
+    // only the tail under the default chunk options.
+    TestRig rig = makeRig(noCompactionOptions());
+    const format::Table base_rows = workload::makeLineitemTable(kBaseRows, 7);
+    format::WriterOptions plain_options;
+    plain_options.rowGroupRows = kBaseGroupRows;
+    plain_options.chunk.enableDictionary = false;
+    plain_options.chunk.compression = codec::Compression::kNone;
+    auto base = format::writeTable(base_rows, plain_options);
+    ASSERT_TRUE(base.isOk());
+    ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
+    format::Table batch = workload::makeLineitemTable(230, 81);
+    ASSERT_TRUE(rig.store->append("lineitem", batch).isOk());
+    ASSERT_TRUE(rig.store->compactObject("lineitem").isOk());
+    EXPECT_EQ(rig.store->manifest("lineitem").value()->generation, 1u);
+
+    auto got = rig.store->get("lineitem");
+    ASSERT_TRUE(got.isOk());
+    const format::FileMetadata &base_meta = base.value().metadata;
+    const uint64_t footer_start =
+        base_meta.rowGroups.back().chunks.back().offset +
+        base_meta.rowGroups.back().chunks.back().storedSize;
+    ASSERT_GE(got.value().size(), footer_start);
+    EXPECT_TRUE(std::equal(base.value().bytes.begin(),
+                           base.value().bytes.begin() +
+                               static_cast<ptrdiff_t>(footer_start),
+                           got.value().begin()));
+
+    // Not writeTable's bytes under the default options, but the same
+    // rows, and every query answers as a fresh put of the merged table.
+    format::Table merged = concatTables(base_rows, batch);
+    format::WriterOptions writer_options;
+    writer_options.rowGroupRows = kBaseGroupRows;
+    auto merged_file = format::writeTable(merged, writer_options);
+    ASSERT_TRUE(merged_file.isOk());
+    EXPECT_FALSE(got.value() == merged_file.value().bytes);
+    auto reader = format::FileReader::open(Slice(got.value()));
+    ASSERT_TRUE(reader.isOk());
+    auto table = reader.value().readTable();
+    ASSERT_TRUE(table.isOk());
+    for (size_t col = 0; col < merged.numColumns(); ++col)
+        EXPECT_TRUE(table.value().column(col) == merged.column(col));
+
+    TestRig ref = makeRig(noCompactionOptions());
+    ASSERT_TRUE(
+        ref.store->put("lineitem", merged_file.value().bytes).isOk());
+    for (const std::string &text : coverageQueries()) {
+        auto got_q = rig.store->querySql(text);
+        auto want_q = ref.store->querySql(text);
+        ASSERT_TRUE(got_q.isOk()) << text << ": "
+                                  << got_q.status().toString();
+        ASSERT_TRUE(want_q.isOk()) << text;
+        expectSameResult(got_q.value().result, want_q.value().result);
+    }
 }
 
 TEST(LifecycleRestripeTest, HotColumnsColocateAndSurfaceInExplain)

@@ -95,6 +95,38 @@ TEST(PutGetTest, RangeReads)
         rig.store->get("lineitem", object.size() - 10, 20).isOk());
 }
 
+// offset + size may wrap past 2^64: both the plain branch and the
+// delta-log (merged) branch must reject such ranges, not wrap them.
+TEST(PutGetTest, RangeReadsRejectOverflowingExtents)
+{
+    StoreOptions options;
+    options.compaction.enabled = false;
+    TestRig rig = makeRig(true, options);
+    ASSERT_TRUE(rig.store->put("plain", lineitemBytes(1000)).isOk());
+    ASSERT_TRUE(rig.store->put("appended", lineitemBytes(1000)).isOk());
+    ASSERT_TRUE(
+        rig.store
+            ->append("appended", workload::makeLineitemTable(50, 3))
+            .isOk());
+    for (const char *name : {"plain", "appended"}) {
+        for (auto [offset, size] :
+             {std::pair<uint64_t, uint64_t>{UINT64_MAX, 2},
+              {1, UINT64_MAX},
+              {UINT64_MAX, UINT64_MAX}}) {
+            auto range = rig.store->get(name, offset, size);
+            ASSERT_FALSE(range.isOk()) << name << " " << offset << "+"
+                                       << size;
+            EXPECT_EQ(range.status().code(), StatusCode::kOutOfRange)
+                << name;
+        }
+        auto whole = rig.store->get(name);
+        ASSERT_TRUE(whole.isOk());
+        auto tail = rig.store->get(name, whole.value().size() - 1, 1);
+        ASSERT_TRUE(tail.isOk()) << name;
+        EXPECT_EQ(tail.value().back(), whole.value().back());
+    }
+}
+
 TEST(PutGetTest, OpaqueObjectsSupported)
 {
     TestRig rig = makeRig(true);
