@@ -5,10 +5,12 @@
  * (legacy log/exp loop vs blocked scalar vs SIMD), Reed-Solomon
  * encode/reconstruct, the typed predicate/select/aggregate query
  * kernels, the decode kernels (Snappy, bit-unpacking, dictionary
- * and plain lineitem chunks; MB/s counts plain-encoded bytes out) and
- * a fold's file extend (appended rows per second) — and writes the
- * numbers to BENCH_kernels.json so every commit's kernel throughput is
- * recorded.
+ * and plain lineitem chunks; MB/s counts plain-encoded bytes out), the
+ * encode side (Snappy compress, RLE encode, bit-packing, chunk encode,
+ * file write, open + read and footer parse), FAC / padding / fixed
+ * stripe construction and a fold's file extend (appended rows per
+ * second) — and writes the numbers to BENCH_kernels.json so every
+ * commit's kernel throughput is recorded.
  *
  * Usage:
  *   bench_kernels [--quick] [--out=PATH] [--check=BASELINE]
@@ -26,16 +28,19 @@
 #include <vector>
 
 #include "codec/bitpack.h"
+#include "codec/rle.h"
 #include "codec/snappy.h"
 #include "common/random.h"
 #include "common/walltime.h"
 #include "common/thread_pool.h"
 #include "ec/reed_solomon.h"
+#include "fac/constructors.h"
 #include "format/chunk_codec.h"
 #include "format/column.h"
 #include "format/reader.h"
 #include "format/writer.h"
 #include "query/eval.h"
+#include "workload/chunk_models.h"
 #include "workload/lineitem.h"
 
 using namespace fusion;
@@ -299,8 +304,11 @@ main(int argc, char **argv)
         format::PhysicalType type;
     };
     std::vector<Chunk> dict_chunks, plain_chunks;
+    // The same chunks decoded, as the writer's encode input.
+    std::vector<format::ColumnData> dict_columns, plain_columns;
     double dict_bytes = 0, plain_bytes = 0;
-    std::vector<Bytes> pages; // each column's plain values, compressed
+    // Each column's plain values in row group 0, raw and compressed.
+    std::vector<Bytes> raw_pages, pages;
     double page_bytes = 0;
     for (const format::ChunkMeta *c : meta.allChunks()) {
         Chunk chunk{Slice(file.value().bytes.data() + c->offset,
@@ -308,12 +316,15 @@ main(int argc, char **argv)
                     meta.schema.column(c->columnId).physical};
         bool dict = c->encoding == format::ChunkEncoding::kDictionary;
         (dict ? dict_chunks : plain_chunks).push_back(chunk);
+        (dict ? dict_columns : plain_columns)
+            .push_back(format::decodeChunk(chunk.bytes, chunk.type).value());
         (dict ? dict_bytes : plain_bytes) += static_cast<double>(c->plainSize);
         if (c->rowGroupId == 0) {
             Bytes plain = format::plainEncode(
                 format::decodeChunk(chunk.bytes, chunk.type).value());
             page_bytes += static_cast<double>(plain.size());
             pages.push_back(codec::snappyCompress(Slice(plain)));
+            raw_pages.push_back(std::move(plain));
         }
     }
     add("snappy_decompress_mb_per_s", throughput(window, page_bytes, [&]() {
@@ -325,16 +336,19 @@ main(int argc, char **argv)
 
     const size_t kCodes = 1 << 16;
     const int kCodeWidth = 13;
+    std::vector<uint64_t> codes(kCodes);
     Bytes packed;
     codec::BitPacker packer(packed, kCodeWidth);
-    for (size_t i = 0; i < kCodes; ++i)
-        packer.put(rng.next() & ((1u << kCodeWidth) - 1));
+    for (uint64_t &code : codes) {
+        code = rng.next() & ((1u << kCodeWidth) - 1);
+        packer.put(code);
+    }
     packer.flush();
-    std::vector<uint64_t> codes(kCodes);
+    std::vector<uint64_t> unpacked(kCodes);
     add("bitunpack_mvalues", throughput(window, kCodes, [&]() {
             codec::BitUnpacker unpacker(Slice(packed), kCodeWidth);
-            auto st = unpacker.getMany(kCodes, codes.data());
-            asm volatile("" : : "r"(&st), "r"(codes.data()) : "memory");
+            auto st = unpacker.getMany(kCodes, unpacked.data());
+            asm volatile("" : : "r"(&st), "r"(unpacked.data()) : "memory");
         }) / 1e6);
 
     auto decode_all = [&](const std::vector<Chunk> &chunks) {
@@ -349,6 +363,88 @@ main(int argc, char **argv)
     add("decode_chunk_plain_mb_per_s",
         throughput(window, plain_bytes, [&]() { decode_all(plain_chunks); }) /
             1e6);
+
+    // ---- encode side: the same pages and chunks, written ----
+    add("snappy_compress_mb_per_s", throughput(window, page_bytes, [&]() {
+            for (const Bytes &page : raw_pages) {
+                auto out = codec::snappyCompress(Slice(page));
+                asm volatile("" : : "r"(&out) : "memory");
+            }
+        }) / 1e6);
+    std::vector<uint64_t> runs(kCodes);
+    for (size_t i = 0; i < kCodes; ++i)
+        runs[i] = (i / 50) % 16; // long runs of 4-bit codes
+    add("rle_encode_mvalues", throughput(window, kCodes, [&]() {
+            auto out = codec::rleEncode(runs, 4);
+            asm volatile("" : : "r"(&out) : "memory");
+        }) / 1e6);
+    add("bitpack_mvalues", throughput(window, kCodes, [&]() {
+            Bytes out;
+            codec::BitPacker bit_packer(out, kCodeWidth);
+            for (uint64_t code : codes)
+                bit_packer.put(code);
+            bit_packer.flush();
+            asm volatile("" : : "r"(out.data()) : "memory");
+        }) / 1e6);
+    auto encode_all = [&](const std::vector<format::ColumnData> &columns) {
+        for (const format::ColumnData &col : columns) {
+            auto out = format::encodeChunk(col, {});
+            asm volatile("" : : "r"(&out) : "memory");
+        }
+    };
+    add("encode_chunk_dict_mb_per_s", throughput(window, dict_bytes, [&]() {
+            encode_all(dict_columns);
+        }) / 1e6);
+    add("encode_chunk_plain_mb_per_s",
+        throughput(window, plain_bytes, [&]() {
+            encode_all(plain_columns);
+        }) / 1e6);
+    const format::Table table = workload::makeLineitemTable(20'000, 3);
+    format::WriterOptions write_options;
+    write_options.rowGroupRows = 2'000;
+    add("file_write_krows_per_s",
+        throughput(window, double(table.numRows()), [&]() {
+            auto out = format::writeTable(table, write_options);
+            asm volatile("" : : "r"(&out) : "memory");
+        }) / 1e3);
+    add("file_read_krows_per_s",
+        throughput(window, double(meta.numRows), [&]() {
+            auto reader = format::FileReader::open(Slice(file.value().bytes));
+            auto out = reader.value().readTable();
+            asm volatile("" : : "r"(&out) : "memory");
+        }) / 1e3);
+    const Bytes footer = meta.serialize();
+    add("footer_parse_kper_s", throughput(window, 1.0, [&]() {
+            auto out = format::FileMetadata::deserialize(Slice(footer));
+            asm volatile("" : : "r"(&out) : "memory");
+        }) / 1e3);
+
+    // ---- stripe construction: FAC, padding and fixed layouts ----
+    // Chunks laid out per second; the paper reports FAC taking 10s-100s
+    // of microseconds per real object (§4.2).
+    const auto zipf_chunks = workload::zipfChunkModel(1000, 0.5, 17);
+    const auto lineitem_chunks = workload::lineitemChunkModel(5);
+    auto layout_rate = [&](const std::vector<fac::ChunkExtent> &chunks,
+                           auto &&build) {
+        return throughput(window, double(chunks.size()), [&]() {
+                   auto layout = build(chunks);
+                   asm volatile("" : : "r"(&layout) : "memory");
+               }) / 1e3;
+    };
+    auto fac_layout = [](const std::vector<fac::ChunkExtent> &chunks) {
+        return fac::buildFacLayout(chunks, 9, 6);
+    };
+    add("fac_layout_zipf_kchunks_per_s", layout_rate(zipf_chunks, fac_layout));
+    add("fac_layout_lineitem_kchunks_per_s",
+        layout_rate(lineitem_chunks, fac_layout));
+    add("padding_layout_kchunks_per_s",
+        layout_rate(lineitem_chunks, [](const auto &chunks) {
+            return fac::buildPaddingLayout(chunks, 9, 6, 100'000'000);
+        }));
+    add("fixed_layout_kchunks_per_s",
+        layout_rate(lineitem_chunks, [](const auto &chunks) {
+            return fac::buildFixedLayout(chunks, 9, 6, 100'000'000);
+        }));
 
     // ---- fold: extend that file by one ingest fold's 4,000 rows ----
     // The ten full row groups copy through; only the appended rows are

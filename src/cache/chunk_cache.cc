@@ -1,19 +1,6 @@
 #include "chunk_cache.h"
 
-#include <cstdlib>
-
 namespace fusion::cache {
-
-uint64_t
-defaultCacheBytesFromEnv()
-{
-    const char *env = std::getenv("FUSION_CACHE_BYTES");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    return end == env ? 0 : static_cast<uint64_t>(v);
-}
 
 ChunkCache::ChunkCache(uint64_t capacity_bytes)
     : capacityBytes_(capacity_bytes)

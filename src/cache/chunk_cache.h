@@ -38,9 +38,6 @@
 
 namespace fusion::cache {
 
-/** Capacity from FUSION_CACHE_BYTES (bytes; 0 or unset = disabled). */
-uint64_t defaultCacheBytesFromEnv();
-
 /** See file comment. Not thread-safe by design: all callers are on
  *  the simulation driver's serial planning path. */
 class ChunkCache

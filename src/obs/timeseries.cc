@@ -282,13 +282,13 @@ ChunkHeatTable::evictObject(const std::string &object)
 {
     for (auto it = heat_.begin(); it != heat_.end();) {
         const std::string &key = it->first.first;
-        // Match the bare name plus its "@g<gen>" / "#delta" aliases, but
-        // never a distinct object that merely shares a prefix.
+        // Match the bare name plus its '@' aliases ("@g<gen>",
+        // "@delta"), never a distinct object that merely shares a
+        // prefix: object names cannot contain '@'.
         bool owned = key.size() >= object.size() &&
                      key.compare(0, object.size(), object) == 0 &&
                      (key.size() == object.size() ||
-                      key[object.size()] == '@' ||
-                      key[object.size()] == '#');
+                      key[object.size()] == '@');
         if (owned)
             it = heat_.erase(it);
         else

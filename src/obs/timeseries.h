@@ -161,7 +161,7 @@ class ChunkHeatTable
 
     /**
      * Drops every entry recorded for `object`, including its
-     * generation-qualified ("name@gN") and delta-log ("name#delta")
+     * generation-qualified ("name@gN") and delta-log ("name@delta")
      * aliases, so deleteObject and compaction swaps never leave stale
      * chunks for the re-stripe policy or the fusion_top leaderboard.
      */

@@ -7,74 +7,14 @@
 
 namespace fusion::sched {
 
-using store::ObjectStore;
 using store::QueryOutcome;
-
-namespace {
-
-/** Share-key family prefix, up to the first '|' ("" for unkeyed). */
-std::string
-keyFamily(const std::string &key)
-{
-    size_t p = key.find('|');
-    return p == std::string::npos ? std::string() : key.substr(0, p);
-}
-
-bool
-isPushdownFamily(const std::string &family)
-{
-    return family == "fpush" || family == "ppush" || family == "apush";
-}
-
-/**
- * "object|chunk" grouping key for the merged Cost Equation, or "" for
- * tasks that are not per-chunk projection work. cfetch keys are already
- * "cfetch|object|chunk"; ppush/apush carry a trailing filter signature
- * that must not split the group.
- */
-std::string
-chunkGroupKey(const std::string &key)
-{
-    size_t p = key.find('|');
-    if (p == std::string::npos)
-        return {};
-    std::string family = key.substr(0, p);
-    if (family == "cfetch")
-        return key.substr(p + 1);
-    if (family == "ppush" || family == "apush") {
-        size_t p2 = key.find('|', p + 1);
-        size_t p3 = p2 == std::string::npos
-                        ? std::string::npos
-                        : key.find('|', p2 + 1);
-        if (p3 == std::string::npos)
-            return {};
-        return key.substr(p + 1, p3 - p - 1);
-    }
-    return {};
-}
-
-} // namespace
 
 SharedScanScheduler::SharedScanScheduler(store::ObjectStore &store,
                                          const SchedOptions &options)
-    : store_(store), options_(options)
+    : store_(store), stages_(store.stages()), options_(options)
 {
     const sim::NodeConfig &nc = store.cluster().config().node;
     nodeCapacity_ = nc.cpuRate * static_cast<double>(nc.cpuCores);
-
-    obs::MetricsRegistry &reg = store.obs().metrics;
-    ins_.batches = &reg.counter("sched.batches");
-    ins_.queries = &reg.counter("sched.queries");
-    ins_.tasksPlanned = &reg.counter("sched.tasks_planned");
-    ins_.tasksIssued = &reg.counter("sched.tasks_issued");
-    ins_.sharedFetches = &reg.counter("sched.shared_fetches");
-    ins_.mergedPushdowns = &reg.counter("sched.merged_pushdowns");
-    ins_.joinedInflight = &reg.counter("sched.joined_inflight");
-    ins_.fetchConversions = &reg.counter("sched.fetch_conversions");
-    ins_.loadSheds = &reg.counter("sched.load_sheds");
-    ins_.wireBytesSaved = &reg.counter("sched.wire_bytes_saved");
-    ins_.queueWait = &reg.histogram("sched.queue_wait_seconds",
-                                    obs::exponentialBounds(1e-6, 4.0, 14));
 }
 
 // ---- handle pool ----
@@ -116,7 +56,7 @@ SharedScanScheduler::submit(const query::Query &q, uint64_t tag)
 {
     QueryHandle *h = acquireHandle(tag);
     ++stats_.queries;
-    ins_.queries->add(1);
+    queries_.add(1);
 
     auto planned = store_.planQueryForBatch(q);
     if (!planned.isOk())
@@ -131,7 +71,7 @@ SharedScanScheduler::submit(const query::Query &q, uint64_t tag)
     const size_t planned_tasks =
         pq->plan->filterTasks.size() + pq->plan->projectionTasks.size();
     stats_.tasksPlanned += planned_tasks;
-    ins_.tasksPlanned->add(planned_tasks);
+    tasksPlanned_.add(planned_tasks);
     for (const SimTask &t : pq->plan->filterTasks)
         ++stats_.perNode[t.nodeId].tasksPlanned;
     for (const SimTask &t : pq->plan->projectionTasks)
@@ -148,7 +88,7 @@ SharedScanScheduler::submit(const query::Query &q, uint64_t tag)
         std::vector<std::shared_ptr<ExecEntry>> entries(tasks.size());
         for (size_t i = 0; i < tasks.size(); ++i)
             if (!tasks[i].shareKey.empty())
-                entries[i] = attachEntry(tasks[i].shareKey);
+                entries[i] = attachEntry(tasks[i]);
         return entries;
     };
     pq->filterEntries = attach_all(pq->plan->filterTasks);
@@ -169,30 +109,22 @@ SharedScanScheduler::submitSql(const std::string &sql, uint64_t tag)
 }
 
 void
-SharedScanScheduler::markOverride(PendingQuery &pq, uint32_t chunk_id,
-                                  const char *verdict, const char *reason)
-{
-    pq.overrides[chunk_id] = {verdict, reason};
-}
-
-void
 SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
                                  size_t ti)
 {
     SimTask &t = pq->plan->projectionTasks[ti];
-    std::string gkey = chunkGroupKey(t.shareKey);
-    if (gkey.empty())
+    std::optional<GroupKey> gkey = chunkGroupOf(t);
+    if (!gkey)
         return;
     const double now = store_.cluster().engine().now();
-    const bool pusher = isPushdownFamily(keyFamily(t.shareKey));
+    const bool pusher = t.isPushdown();
 
-    auto &slot = groupWindow_[gkey];
+    auto &slot = groupWindow_[*gkey];
     if (!slot) {
         slot = std::make_shared<ChunkGroup>();
-        slot->key = gkey;
+        slot->key = *gkey;
         slot->createdSeconds = now;
         slot->nodeId = t.nodeId;
-        slot->chunkId = t.chunkId;
         slot->chunk.storedSize = t.chunkStoredBytes;
         slot->chunk.plainSize = t.chunkPlainBytes;
     }
@@ -200,7 +132,7 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
     const bool late = now > g.createdSeconds;
     if (late) {
         ++stats_.joinedInflight;
-        ins_.joinedInflight->add(1);
+        joinedInflight_.add(1);
     }
 
     if (!pusher) {
@@ -208,7 +140,7 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
         g.hasFetcher = true;
         g.consumers.push_back({pq, ti, false, now});
         if (late)
-            markOverride(*pq, t.chunkId, "fetch", "joined-inflight");
+            pq->overrides[t.chunkId] = {"fetch", "joined-inflight"};
         // Pushdown replies on top of that fetch are pure extra wire:
         // flip any admitted pushdowns to ride it.
         if (!g.converted && g.pusherCount > 0)
@@ -274,19 +206,30 @@ SharedScanScheduler::attachGroup(const std::shared_ptr<PendingQuery> &pq,
             const SimTask &ct = c.pq->plan->projectionTasks[c.ti];
             if (!c.pusher || ct.shareKey != t.shareKey)
                 continue;
-            markOverride(*c.pq, ct.chunkId, "push",
-                         c.attachSeconds > g.createdSeconds
-                             ? "joined-inflight"
-                             : "merged-pushdown");
+            c.pq->overrides[ct.chunkId] = {
+                "push", c.attachSeconds > g.createdSeconds
+                            ? "joined-inflight"
+                            : "merged-pushdown"};
         }
     } else if (late) {
-        markOverride(*pq, t.chunkId, "push", "joined-inflight");
+        pq->overrides[t.chunkId] = {"push", "joined-inflight"};
     }
 }
 
-std::shared_ptr<SharedScanScheduler::ExecEntry>
-SharedScanScheduler::attachEntry(const std::string &key)
+std::optional<SharedScanScheduler::GroupKey>
+SharedScanScheduler::chunkGroupOf(const SimTask &t)
 {
+    if (t.kind != store::TaskKind::kChunkFetch &&
+        t.kind != store::TaskKind::kProjectionPushdown &&
+        t.kind != store::TaskKind::kAggregatePushdown)
+        return std::nullopt;
+    return GroupKey{t.object, t.generation, t.chunkId};
+}
+
+std::shared_ptr<SharedScanScheduler::ExecEntry>
+SharedScanScheduler::attachEntry(const SimTask &t)
+{
+    const std::string &key = t.shareKey;
     auto it = execWindow_.find(key);
     if (it != execWindow_.end()) {
         ++it->second->consumers;
@@ -294,6 +237,7 @@ SharedScanScheduler::attachEntry(const std::string &key)
     }
     auto entry = std::make_shared<ExecEntry>();
     entry->key = key;
+    entry->group = chunkGroupOf(t);
     entry->consumers = 1;
     entry->createdSeconds = store_.cluster().engine().now();
     entry->windowSpan = store_.obs().tracer.beginSpan(
@@ -322,17 +266,17 @@ SharedScanScheduler::convertConsumer(PendingQuery &pq, size_t ti,
                                      const char *reason, bool load_shed)
 {
     SimTask &t = pq.plan->projectionTasks[ti];
-    t = store_.makeSharedFetchTask(t);
+    t = stages_.makeSharedFetchTask(t);
     FUSION_CHECK(pq.plan->outcome.projectionPushdowns > 0);
     --pq.plan->outcome.projectionPushdowns;
     ++pq.plan->outcome.projectionFetches;
-    markOverride(pq, t.chunkId, "fetch", reason);
+    pq.overrides[t.chunkId] = {"fetch", reason};
     if (load_shed) {
         ++stats_.loadSheds;
-        ins_.loadSheds->add(1);
+        loadSheds_.add(1);
     } else {
         ++stats_.fetchConversions;
-        ins_.fetchConversions->add(1);
+        fetchConversions_.add(1);
     }
     // Consumers admitted in earlier submits already attached a window
     // entry under the pushdown key; rebind them to the shared fetch.
@@ -340,7 +284,7 @@ SharedScanScheduler::convertConsumer(PendingQuery &pq, size_t ti,
     // picks up the rewritten key by itself.)
     if (ti < pq.projEntries.size()) {
         releaseEntry(pq.projEntries[ti]);
-        pq.projEntries[ti] = attachEntry(t.shareKey);
+        pq.projEntries[ti] = attachEntry(t);
     }
 }
 
@@ -367,7 +311,8 @@ SharedScanScheduler::convertGroup(ChunkGroup &g, const char *reason,
     // The converted chunk now crosses the wire once to the
     // coordinator — admit it so later queries plan it as
     // "cached-local" instead of re-moving the bytes.
-    store_.admitChunkToCache(g.key.substr(0, g.key.find('|')), g.chunkId);
+    const auto &[object, generation, chunk_id] = g.key;
+    store_.admitChunkToCache(object, generation, chunk_id);
 }
 
 // ---- issue / drive ----
@@ -380,9 +325,8 @@ SharedScanScheduler::sealAtIssue(ExecEntry &entry)
     // Later arrivals must not join an issued transfer: the key (and
     // its chunk group) leave the window, starting a new generation.
     execWindow_.erase(entry.key);
-    std::string gkey = chunkGroupKey(entry.key);
-    if (!gkey.empty())
-        groupWindow_.erase(gkey);
+    if (entry.group)
+        groupWindow_.erase(*entry.group);
     // An issued pushdown's admission charge rides on the entry until
     // the storage node finishes the work.
     auto charged = chargedLoad_.find(entry.key);
@@ -416,23 +360,18 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
     sim::Cluster &cluster = store_.cluster();
     obs::Tracer &tracer = store_.obs().tracer;
 
-    if (entry == nullptr) {
-        // Unkeyed: never shareable, runs alone.
+    if (entry == nullptr || !entry->issued) {
         ++stats_.tasksIssued;
-        ins_.tasksIssued->add(1);
+        tasksIssued_.add(1);
         ++stats_.perNode[task.nodeId].tasksIssued;
-        store_.accountTask(task, coordinator, projection, plan.outcome);
-        store_.executeTask(task, coordinator, join);
-        return;
-    }
-
-    if (!entry->issued) {
+        if (entry == nullptr) {
+            // Unkeyed: never shareable, runs alone.
+            stages_.executeTask(task, coordinator, projection, plan.outcome,
+                                join);
+            return;
+        }
         entry->issued = true;
         sealAtIssue(*entry);
-        ++stats_.tasksIssued;
-        ins_.tasksIssued->add(1);
-        ++stats_.perNode[task.nodeId].tasksIssued;
-        store_.accountTask(task, coordinator, projection, plan.outcome);
         // The issuer's own join signal plus waiter fan-out.
         auto fanout = std::make_shared<sim::Join>(
             1, [this, entry, join]() {
@@ -444,7 +383,8 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
                 for (auto &waiter : waiters)
                     waiter();
             });
-        store_.executeTask(task, coordinator, fanout);
+        stages_.executeTask(task, coordinator, projection, plan.outcome,
+                            fanout);
         return;
     }
 
@@ -452,18 +392,17 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
     // coordinator. Pay only the per-consumer coordinator work (select
     // pass on the shared reply, or this task's own coord work when no
     // cheaper shared form exists).
-    const bool push_family = isPushdownFamily(keyFamily(task.shareKey));
-    if (push_family) {
+    if (task.isPushdown()) {
         ++stats_.mergedPushdowns;
-        ins_.mergedPushdowns->add(1);
+        mergedPushdowns_.add(1);
     } else {
         ++stats_.sharedFetches;
-        ins_.sharedFetches->add(1);
+        sharedFetches_.add(1);
     }
     if (task.nodeId != coordinator) {
         uint64_t saved = task.requestBytes + task.replyBytes;
         stats_.wireBytesSaved += saved;
-        ins_.wireBytesSaved->add(saved);
+        wireBytesSaved_.add(saved);
     }
     double coord_work = task.consumerSelectWork > 0.0
                             ? task.consumerSelectWork
@@ -476,7 +415,7 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
     const double demanded = cluster.engine().now();
     auto complete = [this, coord, coord_work, join, wait_span,
                      demanded]() {
-        ins_.queueWait->observe(store_.cluster().engine().now() -
+        queueWait_.observe(store_.cluster().engine().now() -
                                 demanded);
         store_.obs().tracer.endSpan(wait_span);
         coord->cpu().acquire(coord_work, [join]() { join->signal(); });
@@ -485,22 +424,6 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
         complete();
     else
         entry->waiters.push_back(std::move(complete));
-}
-
-void
-SharedScanScheduler::startQuery(const std::shared_ptr<PendingQuery> &pq)
-{
-    // The store's stage DAG, with every task demanded through the
-    // window; latency counts from admission, not from the start.
-    store_.simulateQuery(
-        pq->plan, pq->submitSeconds,
-        "\"seq\": " + std::to_string(pq->seq) +
-            ", \"tag\": " + std::to_string(pq->handle->tag) + ", ",
-        [this, pq](bool projection, size_t ti,
-                   std::shared_ptr<sim::Join> join) {
-            demand(pq, projection, ti, join);
-        },
-        [this, pq]() { complete(pq); });
 }
 
 void
@@ -538,7 +461,17 @@ SharedScanScheduler::startPending()
     while (!startQueue_.empty()) {
         auto pq = std::move(startQueue_.front());
         startQueue_.pop_front();
-        startQuery(pq);
+        // The store's stage DAG, with every task demanded through the
+        // window; latency counts from admission, not from the start.
+        stages_.simulateQuery(
+            pq->plan, pq->submitSeconds,
+            "\"seq\": " + std::to_string(pq->seq) +
+                ", \"tag\": " + std::to_string(pq->handle->tag) + ", ",
+            [this, pq](bool projection, size_t ti,
+                       std::shared_ptr<sim::Join> join) {
+                demand(pq, projection, ti, join);
+            },
+            [this, pq]() { complete(pq); });
     }
 }
 
@@ -580,7 +513,7 @@ Result<std::vector<QueryOutcome>>
 SharedScanScheduler::runBatch(const std::vector<query::Query> &batch)
 {
     stats_ = BatchStats{};
-    ins_.batches->add(1);
+    batches_.add(1);
     if (batch.empty())
         return std::vector<QueryOutcome>{};
 
@@ -621,20 +554,6 @@ SharedScanScheduler::runBatch(const std::vector<query::Query> &batch)
     if (!error.isOk())
         return error;
     return outcomes;
-}
-
-Result<std::vector<QueryOutcome>>
-SharedScanScheduler::runBatchSql(const std::vector<std::string> &statements)
-{
-    std::vector<query::Query> batch;
-    batch.reserve(statements.size());
-    for (const auto &sql : statements) {
-        auto q = query::parseQuery(sql);
-        if (!q.isOk())
-            return q.status();
-        batch.push_back(std::move(q.value()));
-    }
-    return runBatch(batch);
 }
 
 } // namespace fusion::sched

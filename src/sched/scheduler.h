@@ -29,8 +29,8 @@
  * through an async handle API modeled on PaCHash's object store
  * client: submit() returns a reusable QueryHandle carrying a caller
  * tag, awaitAny() harvests completions in deterministic simulated-time
- * order, awaitAll() drains the window. runBatch()/runBatchSql() remain
- * as thin closed-batch wrappers (submit everything, awaitAll).
+ * order, awaitAll() drains the window. runBatch() remains as a thin
+ * closed-batch wrapper (submit everything, awaitAll).
  *
  * Everything runs on the simulation driver thread against the store's
  * sim::Engine, so outcomes, sched.* metrics, admission_window /
@@ -48,7 +48,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -90,11 +92,10 @@ struct NodeDedupStats {
 
 /** What the window did with the queries admitted since the last
  *  runBatch (also mirrored as sched.* counters in the store's metrics
- *  registry). Raw submit() calls accumulate; runBatch resets. */
-struct BatchStats {
+ *  registry). Raw submit() calls accumulate; runBatch resets. The
+ *  inherited task counts and dedupRate() sum over every node. */
+struct BatchStats : NodeDedupStats {
     size_t queries = 0;
-    size_t tasksPlanned = 0;  // before dedup, filter + projection
-    size_t tasksIssued = 0;   // unique executions after dedup
     size_t sharedFetches = 0; // fetch tasks absorbed by an equal fetch
     size_t mergedPushdowns = 0; // pushdowns absorbed by an equal one
     size_t joinedInflight = 0; // consumers that joined a chunk entry
@@ -105,16 +106,6 @@ struct BatchStats {
     double makespanSeconds = 0.0; // batch admit -> last client reply
     /** Dedup accounting split by storage node. */
     std::map<size_t, NodeDedupStats> perNode;
-
-    /** Aggregate fraction of planned tasks absorbed by sharing. */
-    double
-    dedupRate() const
-    {
-        if (tasksPlanned == 0)
-            return 0.0;
-        return 1.0 - static_cast<double>(tasksIssued) /
-                         static_cast<double>(tasksPlanned);
-    }
 };
 
 class SharedScanScheduler;
@@ -173,7 +164,7 @@ class QueryHandle
  * Streams concurrent queries against one store through a continuous
  * admission window of deduplicated pushdown requests. The window is a
  * dispatch policy, not an executor: each admitted query runs through
- * the store's own stage DAG (ObjectStore::simulateQuery), which hands
+ * the store's stage DAG (store::StageDag::simulateQuery), which hands
  * every task to demand() instead of running it alone. A query
  * submitted and awaited alone therefore matches store.query() exactly,
  * and batched results are bit-identical to isolated execution.
@@ -231,10 +222,6 @@ class SharedScanScheduler
     Result<std::vector<store::QueryOutcome>>
     runBatch(const std::vector<query::Query> &batch);
 
-    /** Parses each statement (failing fast), then runBatch. */
-    Result<std::vector<store::QueryOutcome>>
-    runBatchSql(const std::vector<std::string> &statements);
-
     /** Stats since the most recent runBatch (or construction). */
     const BatchStats &lastBatchStats() const { return stats_; }
     /** Alias for open-loop callers: same accumulator. */
@@ -243,8 +230,10 @@ class SharedScanScheduler
     const SchedOptions &options() const { return options_; }
 
   private:
-    using SimTask = store::ObjectStore::SimTask;
-    using QueryPlan = store::ObjectStore::QueryPlan;
+    using SimTask = store::SimTask;
+    using QueryPlan = store::QueryPlan;
+    /** A chunk group's identity: (object, base generation, chunk id). */
+    using GroupKey = std::tuple<std::string, uint64_t, uint32_t>;
 
     /**
      * One deduplicated transfer in the admission window. Pending from
@@ -253,6 +242,8 @@ class SharedScanScheduler
      */
     struct ExecEntry {
         std::string key;
+        /** The chunk group its first attacher joined, if any. */
+        std::optional<GroupKey> group;
         bool issued = false;
         bool done = false;
         size_t consumers = 0;
@@ -294,12 +285,11 @@ class SharedScanScheduler
      * place while pending.
      */
     struct ChunkGroup {
-        std::string key; // "object|chunk"
+        GroupKey key;
         double createdSeconds = 0.0;
         bool converted = false;  // verdict flipped to shared fetch
         bool hasFetcher = false; // some consumer already fetches
         size_t nodeId = 0;
-        uint32_t chunkId = 0;
         format::ChunkMeta chunk; // stored and plain sizes
         size_t pusherCount = 0; // admitted (unconverted) pushdowns
         /** Admitted pushdowns per filter signature (share key). */
@@ -315,8 +305,12 @@ class SharedScanScheduler
 
     /** Group pass: admits one projection task to its chunk group. */
     void attachGroup(const std::shared_ptr<PendingQuery> &pq, size_t ti);
-    /** Entry pass: create-or-join the window entry for a share key. */
-    std::shared_ptr<ExecEntry> attachEntry(const std::string &key);
+    /** The chunk group a projection-stage task joins for the merged
+     *  Cost Equation: chunk fetches and projection/aggregate pushdowns. */
+    static std::optional<GroupKey> chunkGroupOf(const SimTask &t);
+    /** Entry pass: create-or-join the window entry for a task's share
+     *  key. */
+    std::shared_ptr<ExecEntry> attachEntry(const SimTask &t);
     /** Detaches a consumer; cancels the entry when none remain. */
     void releaseEntry(const std::shared_ptr<ExecEntry> &entry);
     /** Flips every admitted pushdown of `g` to ride one shared chunk
@@ -326,8 +320,6 @@ class SharedScanScheduler
      *  and rebinds its window entry. */
     void convertConsumer(PendingQuery &pq, size_t ti, const char *reason,
                          bool load_shed);
-    void markOverride(PendingQuery &pq, uint32_t chunk_id,
-                      const char *verdict, const char *reason);
     /** Ends an entry's window (and its chunk group's) at issue. */
     void sealAtIssue(ExecEntry &entry);
     /** Refunds a completed entry's admitted pushdown load. */
@@ -335,7 +327,6 @@ class SharedScanScheduler
 
     /** Starts the stage DAG of every admitted-but-unstarted query. */
     void startPending();
-    void startQuery(const std::shared_ptr<PendingQuery> &pq);
     /** The window's task dispatch: issue one task, or absorb it into
      *  the shared in-flight run the consumer attached to. */
     void demand(const std::shared_ptr<PendingQuery> &pq, bool projection,
@@ -344,6 +335,7 @@ class SharedScanScheduler
     void complete(const std::shared_ptr<PendingQuery> &pq);
 
     store::ObjectStore &store_;
+    store::StageDag &stages_;
     SchedOptions options_;
     BatchStats stats_;
     double nodeCapacity_ = 0.0; // cpuRate x cores, work units/second
@@ -362,9 +354,9 @@ class SharedScanScheduler
     /** Pending entries by share key (erased at issue: later arrivals
      *  start a fresh generation instead of joining). */
     std::map<std::string, std::shared_ptr<ExecEntry>> execWindow_;
-    /** Pending chunk groups by "object|chunk" (erased when the first
-     *  member transfer is issued). */
-    std::map<std::string, std::shared_ptr<ChunkGroup>> groupWindow_;
+    /** Pending chunk groups (erased when the first member transfer is
+     *  issued). */
+    std::map<GroupKey, std::shared_ptr<ChunkGroup>> groupWindow_;
     /** Live admitted pushdown work per node, seconds of capacity. */
     std::map<size_t, double> nodeOutstanding_;
     /** Charged-but-unissued pushdown load by share key; moved onto the
@@ -376,20 +368,21 @@ class SharedScanScheduler
 
     /** sched.* instruments, resolved once (same registry as the
      *  store's fault/cache/wire instruments). */
-    struct Instruments {
-        obs::Counter *batches = nullptr;
-        obs::Counter *queries = nullptr;
-        obs::Counter *tasksPlanned = nullptr;
-        obs::Counter *tasksIssued = nullptr;
-        obs::Counter *sharedFetches = nullptr;
-        obs::Counter *mergedPushdowns = nullptr;
-        obs::Counter *joinedInflight = nullptr;
-        obs::Counter *fetchConversions = nullptr;
-        obs::Counter *loadSheds = nullptr;
-        obs::Counter *wireBytesSaved = nullptr;
-        obs::Histogram *queueWait = nullptr;
-    };
-    Instruments ins_;
+    obs::MetricsRegistry &metrics_ = store_.obs().metrics;
+    obs::Counter &batches_ = metrics_.counter("sched.batches");
+    obs::Counter &queries_ = metrics_.counter("sched.queries");
+    obs::Counter &tasksPlanned_ = metrics_.counter("sched.tasks_planned");
+    obs::Counter &tasksIssued_ = metrics_.counter("sched.tasks_issued");
+    obs::Counter &sharedFetches_ = metrics_.counter("sched.shared_fetches");
+    obs::Counter &mergedPushdowns_ =
+        metrics_.counter("sched.merged_pushdowns");
+    obs::Counter &joinedInflight_ = metrics_.counter("sched.joined_inflight");
+    obs::Counter &fetchConversions_ =
+        metrics_.counter("sched.fetch_conversions");
+    obs::Counter &loadSheds_ = metrics_.counter("sched.load_sheds");
+    obs::Counter &wireBytesSaved_ = metrics_.counter("sched.wire_bytes_saved");
+    obs::Histogram &queueWait_ = metrics_.histogram(
+        "sched.queue_wait_seconds", obs::exponentialBounds(1e-6, 4.0, 14));
 };
 
 } // namespace fusion::sched

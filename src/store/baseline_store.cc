@@ -13,7 +13,7 @@ BaselineStore::buildLayout(const std::vector<fac::ChunkExtent> &extents)
                                  options_.fixedBlockSize);
 }
 
-Result<ObjectStore::QueryPlan>
+Result<QueryPlan>
 BaselineStore::planQuery(const ObjectManifest &manifest,
                          const query::Query &q)
 {
@@ -71,9 +71,8 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
                 double local_work = chunkSelectWork(chunk);
                 if (is_filter_col && is_proj_col)
                     local_work += chunkSelectWork(chunk);
-                SimTask task{plan.coordinatorId, 0, 0, 0.0, 0, local_work,
-                             "cached_local"};
-                task.chunkId = chunk_id;
+                SimTask task{TaskKind::kCachedLocal, manifest, chunk_id,
+                             plan.coordinatorId, 0, 0, 0.0, 0, local_work};
                 plan.filterTasks.push_back(std::move(task));
                 if (is_filter_col)
                     ++plan.outcome.filterChunkCached;
@@ -81,8 +80,8 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
                     ++plan.outcome.projectionCachedLocal;
                 continue;
             }
-            appendChunkFetchTasks(manifest, chunk_id, coord_work,
-                                  plan.filterTasks);
+            readPath_.appendChunkFetchTasks(manifest, chunk_id, coord_work,
+                                            plan.filterTasks);
             cacheAdmitChunk(manifest, chunk_id);
             if (is_filter_col)
                 ++plan.outcome.filterChunkFetches;

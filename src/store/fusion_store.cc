@@ -35,7 +35,7 @@ FusionStore::buildRestripeLayout(
     return heat_layout;
 }
 
-Result<ObjectStore::QueryPlan>
+Result<QueryPlan>
 FusionStore::planQuery(const ObjectManifest &manifest,
                        const query::Query &q)
 {
@@ -55,10 +55,11 @@ FusionStore::planQuery(const ObjectManifest &manifest,
     // sharing: a filter-pushdown bitmap depends only on the predicates
     // over its own column; a projection-pushdown reply depends on the
     // whole filter set (the final ANDed bitmap selects its rows).
-    auto column_filter_sig = [&](const std::string &col_name) {
+    // An empty column selects every predicate.
+    auto filter_sig = [&](const std::string &col_name) {
         std::string sig;
         for (const auto &pred : q.filters) {
-            if (pred.column != col_name)
+            if (!col_name.empty() && pred.column != col_name)
                 continue;
             sig += pred.column;
             sig += compareOpName(pred.op);
@@ -67,13 +68,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
         }
         return sig;
     };
-    std::string full_filter_sig;
-    for (const auto &pred : q.filters) {
-        full_filter_sig += pred.column;
-        full_filter_sig += compareOpName(pred.op);
-        full_filter_sig += pred.literal.toString();
-        full_filter_sig += ';';
-    }
+    const std::string full_filter_sig = filter_sig("");
 
     // EXPLAIN collection (per-chunk Cost Equation inputs + verdicts);
     // only filled when the report was asked for.
@@ -104,9 +99,9 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             // a resident chunk filters at the coordinator for the
             // selection pass alone, no request, disk or reply bytes.
             if (cacheLookupChunk(manifest, chunk_id)) {
-                SimTask task{plan.coordinatorId, 0, 0, 0.0, 0,
-                             chunkSelectWork(chunk), "cached_local"};
-                task.chunkId = chunk_id;
+                SimTask task{TaskKind::kCachedLocal, manifest, chunk_id,
+                             plan.coordinatorId, 0, 0, 0.0, 0,
+                             chunkSelectWork(chunk)};
                 plan.filterTasks.push_back(std::move(task));
                 ++plan.outcome.filterChunkCached;
                 continue;
@@ -114,14 +109,13 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             auto state = chunkPushdownState(manifest, chunk_id);
             if (state == ChunkPushdownState::kPushable) {
                 size_t node = manifest.nodesForChunk(chunk_id)[0];
-                SimTask task{node, options_.requestRpcBytes,
-                             chunk.storedSize, chunkDecodeWork(chunk),
-                             plane.filterReplyWireSize.at({rg, col}), 0.0,
-                             "filter_pushdown"};
+                SimTask task{TaskKind::kFilterPushdown, manifest, chunk_id,
+                             node, options_.requestRpcBytes, chunk.storedSize,
+                             chunkDecodeWork(chunk),
+                             plane.filterReplyWireSize.at({rg, col}), 0.0};
                 task.shareKey = "fpush|" + manifest.shareName() + "|" +
                                 std::to_string(chunk_id) + "|" +
-                                column_filter_sig(col_name);
-                task.chunkId = chunk_id;
+                                filter_sig(col_name);
                 obs_.telemetry.heat().recordAccess(
                     cluster_.engine().now(), manifest.shareName(),
                     chunk_id);
@@ -133,11 +127,11 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                 // the coordinator, which also evaluates the filter.
                 if (state == ChunkPushdownState::kFaulted) {
                     ++plan.outcome.pushdownFallbacks;
-                    ins_.pushdownFallbacks->add(1);
+                    pushdownFallbacks_.add(1);
                 }
-                appendChunkFetchTasks(manifest, chunk_id,
-                                      chunkDecodeWork(chunk),
-                                      plan.filterTasks);
+                readPath_.appendChunkFetchTasks(manifest, chunk_id,
+                                                chunkDecodeWork(chunk),
+                                                plan.filterTasks);
                 ++plan.outcome.filterChunkFetches;
                 // The bytes land at the coordinator anyway: keep them.
                 cacheAdmitChunk(manifest, chunk_id);
@@ -202,9 +196,9 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                 // Resident at the coordinator: evaluate locally whatever
                 // the Cost Equation says. No wire, no disk — only the
                 // row-selection pass.
-                SimTask task{plan.coordinatorId, 0, 0, 0.0, 0,
-                             chunkSelectWork(chunk), "cached_local"};
-                task.chunkId = chunk_id;
+                SimTask task{TaskKind::kCachedLocal, manifest, chunk_id,
+                             plan.coordinatorId, 0, 0, 0.0, 0,
+                             chunkSelectWork(chunk)};
                 plan.projectionTasks.push_back(std::move(task));
                 ++plan.outcome.projectionCachedLocal;
                 record("local", "cached-local");
@@ -218,14 +212,14 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                 // coordinator-side evaluation regardless of its verdict.
                 if (state == ChunkPushdownState::kFaulted) {
                     ++plan.outcome.pushdownFallbacks;
-                    ins_.pushdownFallbacks->add(1);
+                    pushdownFallbacks_.add(1);
                     record("fetch", "node unresponsive (health fallback)");
                 } else {
                     record("fetch", "chunk split across nodes");
                 }
-                appendChunkFetchTasks(manifest, chunk_id,
-                                      chunkDecodeWork(chunk),
-                                      plan.projectionTasks);
+                readPath_.appendChunkFetchTasks(manifest, chunk_id,
+                                                chunkDecodeWork(chunk),
+                                                plan.projectionTasks);
                 ++plan.outcome.projectionFetches;
                 cacheAdmitChunk(manifest, chunk_id);
                 continue;
@@ -245,7 +239,6 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             // the Cost Equation over a merged consumer set, or to
             // convert this pushdown into a shared chunk fetch.
             auto fill_shared = [&](SimTask &task) {
-                task.chunkId = chunk_id;
                 task.chunkStoredBytes = chunk.storedSize;
                 task.chunkPlainBytes = chunk.plainSize;
                 task.fetchDecodeWork = chunkDecodeWork(chunk);
@@ -260,11 +253,14 @@ FusionStore::planQuery(const ObjectManifest &manifest,
 
             bool push = options_.adaptivePushdown ? decision.push : true;
             if (push) {
-                SimTask task{node, request, disk_bytes, decode_work,
+                SimTask task{aggregate ? TaskKind::kAggregatePushdown
+                                       : TaskKind::kProjectionPushdown,
+                             manifest, chunk_id, node, request, disk_bytes,
+                             decode_work,
                              aggregate
                                  ? aggregate_reply_bytes
                                  : plane.projectionReplySize.at({rg, col}),
-                             0.0, "projection_pushdown"};
+                             0.0};
                 task.shareKey = (aggregate ? "apush|" : "ppush|") +
                                 manifest.shareName() + "|" +
                                 std::to_string(chunk_id) + "|" +
@@ -278,9 +274,9 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                                    : "adaptive pushdown disabled");
             } else {
                 // Fetch the compressed chunk; decode + select locally.
-                SimTask task{node, options_.requestRpcBytes,
-                             chunk.storedSize, 0.0, chunk.storedSize,
-                             chunkDecodeWork(chunk), "chunk_fetch"};
+                SimTask task{TaskKind::kChunkFetch, manifest, chunk_id,
+                             node, options_.requestRpcBytes, chunk.storedSize,
+                             0.0, chunk.storedSize, chunkDecodeWork(chunk)};
                 task.shareKey =
                     "cfetch|" + manifest.shareName() + "|" +
                     std::to_string(chunk_id);

@@ -26,10 +26,16 @@ ObjectManifest::blockKey(size_t stripe, size_t block_index) const
 }
 
 std::string
-ObjectManifest::shareName() const
+shareName(const std::string &name, uint64_t generation)
 {
     return generation == 0 ? name
                            : name + "@g" + std::to_string(generation);
+}
+
+std::string
+ObjectManifest::shareName() const
+{
+    return store::shareName(name, generation);
 }
 
 bool

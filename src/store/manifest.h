@@ -26,6 +26,14 @@ struct PieceLocation {
     uint64_t size = 0;
 };
 
+/**
+ * Generation-qualified object name used in block keys, delta-segment
+ * keys, chunk-heat keys and scheduler share keys: the bare name for
+ * generation 0 (so pre-lifecycle key formats are unchanged),
+ * "name@g<N>" afterwards.
+ */
+std::string shareName(const std::string &name, uint64_t generation);
+
 /** Complete placement record for one stored object. */
 struct ObjectManifest {
     std::string name;
@@ -105,11 +113,7 @@ struct ObjectManifest {
     /** Storage key of a block on its node. */
     std::string blockKey(size_t stripe, size_t block_index) const;
 
-    /**
-     * Generation-qualified object name used in block keys and scheduler
-     * share keys: the bare name for generation 0 (so pre-lifecycle key
-     * formats are unchanged), "name@g<N>" afterwards.
-     */
+    /** shareName(name, generation). */
     std::string shareName() const;
 
     /** True when the re-stripe policy co-located this chunk. */

@@ -1,11 +1,12 @@
 /**
  * @file
- * The analytics object store core. ObjectStore implements the shared
- * machinery — Put (layout + erasure coding + placement), Get (chunk
- * reassembly with degraded reads through RS recovery), node repair,
- * the data plane (real decode / filter / projection) and the DES query
- * timing flow. Subclasses define how objects are laid out and how
- * queries are planned:
+ * The analytics object store core. ObjectStore keeps the manifests,
+ * Put (layout + erasure coding + placement), the data plane (real
+ * decode / filter / projection) with its memo, the coordinator cache
+ * glue and the public entry points; ReadPath (read_path.h),
+ * DeltaLifecycle (delta_lifecycle.h) and StageDag (stage_dag.h) carry
+ * degraded reads, appends and simulated time. Subclasses define how
+ * objects are laid out and how queries are planned:
  *
  *   BaselineStore — fixed-size blocks (MinIO/Ceph practice): chunks
  *                   split across nodes; queries reassemble chunks at a
@@ -29,72 +30,15 @@
 #include <vector>
 
 #include "cache/chunk_cache.h"
+#include "delta_lifecycle.h"
 #include "ec/reed_solomon.h"
-#include "format/writer.h"
-#include "lifecycle/compactor.h"
-#include "lifecycle/delta_log.h"
-#include "manifest.h"
 #include "obs/observability.h"
-#include "query/ast.h"
 #include "query/bitmap.h"
 #include "query/parser.h"
-#include "sim/cluster.h"
+#include "read_path.h"
+#include "stage_dag.h"
 
 namespace fusion::store {
-
-/** Store-wide configuration. */
-struct StoreOptions {
-    size_t n = 9;
-    size_t k = 6;
-    /** Block size for fixed-size coding (baseline and Fusion fallback).
-     *  The paper uses 100 MB on ~10 GB files; scale proportionally. */
-    uint64_t fixedBlockSize = 4ULL << 20;
-    /** FAC fallback threshold (paper: 2%). */
-    double overheadThreshold = 0.02;
-    /** Bytes of a pushdown/fetch request message. */
-    uint64_t requestRpcBytes = 256;
-    /** Bytes of the client's query request. */
-    uint64_t clientRequestBytes = 512;
-    /** Apply the Cost Equation per chunk (Fusion). When false, every
-     *  projection on an intact chunk is pushed down. */
-    bool adaptivePushdown = true;
-    /** Extension (paper future work): compute aggregates on storage
-     *  nodes so pure-aggregate projections reply with scalars. */
-    bool aggregatePushdown = false;
-    /**
-     * Coordinator hot-chunk cache capacity in bytes; 0 disables the
-     * tier. Chunks the planner fetched to the coordinator are admitted
-     * and later queries evaluate them locally, flipping the Cost
-     * Equation (see cache/chunk_cache.h). Defaults from the
-     * FUSION_CACHE_BYTES environment variable.
-     */
-    uint64_t cacheBytes = cache::defaultCacheBytesFromEnv();
-
-    // ---- degraded-read robustness (fault injection, see DESIGN.md) ----
-
-    /**
-     * A block read counts as timed out when its node is dead or so
-     * slowed that the modeled response (slowFactor x rpcLatency)
-     * exceeds this bound. Timed-out reads retry with backoff, then
-     * reconstruct from parity.
-     */
-    double readTimeoutSeconds = 1e-3;
-    /** Retry attempts before a timed-out block read is declared lost. */
-    size_t maxReadRetries = 3;
-    /** First retry waits this long; later retries double it... */
-    double retryBackoffBaseSeconds = 1e-3;
-    /** ...up to this cap (bounded exponential backoff). */
-    double retryBackoffMaxSeconds = 8e-3;
-
-    // ---- object lifecycle (append log + compaction, src/lifecycle/) ----
-
-    /** Replication factor for append delta-log segments (small-object
-     *  regime: replicated, never erasure-coded). Capped at numNodes. */
-    size_t deltaReplicas = 3;
-    /** Background compaction triggers; enabled by default (a store
-     *  that never appends schedules no events). */
-    lifecycle::CompactionPolicy compaction;
-};
 
 /** Outcome of a Put. */
 struct PutResult {
@@ -111,50 +55,7 @@ struct PutResult {
     double simulatedPutSeconds = 0.0;
 };
 
-/** Outcome of a query, including the paper's breakdown dimensions. */
-struct QueryOutcome {
-    query::QueryResult result;
-    double latencySeconds = 0.0;   // simulated wall time
-    double diskSeconds = 0.0;      // resource-seconds by class
-    double cpuSeconds = 0.0;
-    double networkSeconds = 0.0;
-    uint64_t networkBytes = 0;     // remote bytes moved for this query
-    size_t rowGroupsScanned = 0;
-    size_t rowGroupsSkipped = 0;
-    size_t filterChunkFetches = 0;   // chunks reassembled for filtering
-    size_t filterChunkPushdowns = 0; // filters executed on storage nodes
-    size_t projectionPushdowns = 0;
-    size_t projectionFetches = 0;
-    /** Filter chunks evaluated at the coordinator from the hot-chunk
-     *  cache (no wire, no disk). */
-    size_t filterChunkCached = 0;
-    /** Projection chunks whose verdict the cache flipped to local. */
-    size_t projectionCachedLocal = 0;
-    /** Pushdowns rerouted to coordinator-side evaluation because the
-     *  chunk's node was faulted when the query was planned. */
-    size_t pushdownFallbacks = 0;
-    /** Parity range rebuilds this query ran (degraded reads). */
-    uint64_t parityReconstructions = 0;
-    /** Timed-out block-read attempts this query retried. */
-    uint64_t readRetries = 0;
-    /** Delta-log segments merged on top of the base generation. */
-    size_t deltaSegmentsScanned = 0;
-    /** Per-chunk pushdown-decision report; filled when the store's
-     *  obs().explainEnabled is set (FusionStore only). */
-    std::shared_ptr<const obs::QueryExplain> explain;
-};
-
-/** Outcome of an append (lifecycle delta log). */
-struct AppendResult {
-    uint64_t seq = 0;          // position in the object's delta log
-    uint64_t rows = 0;
-    uint64_t segmentBytes = 0; // serialized fpax segment size
-    size_t replicas = 0;
-    double simulatedAppendSeconds = 0.0;
-};
-
-/** Base class; see file comment. */
-class ObjectStore : public lifecycle::CompactionHost
+class ObjectStore
 {
   public:
     ObjectStore(sim::Cluster &cluster, const StoreOptions &options);
@@ -163,7 +64,11 @@ class ObjectStore : public lifecycle::CompactionHost
     /** "baseline" or "fusion". */
     virtual const char *kindName() const = 0;
 
-    /** Stores an object; fpax objects get format-aware treatment. */
+    /**
+     * Stores an object; fpax objects get format-aware treatment. The
+     * name must be non-empty and free of '@' and '|' (InvalidArgument
+     * otherwise).
+     */
     Result<PutResult> put(const std::string &name, Bytes object);
 
     /**
@@ -176,51 +81,13 @@ class ObjectStore : public lifecycle::CompactionHost
     void putAsync(const std::string &name, Bytes object,
                   std::function<void(Result<PutResult>)> done);
 
-    // ---- object lifecycle (src/lifecycle/) ----
-
-    /**
-     * Appends rows to an fpax object: the batch is serialized as a
-     * standalone fpax segment, replicated deltaReplicas ways (never
-     * erasure-coded — the paper's small-object regime) and added to the
-     * object's delta log. Readers and queries immediately see the new
-     * rows merged on top of the base generation; the background
-     * Compactor later seals and folds the log into a fresh FAC layout.
-     * The schema must equal the object's schema exactly.
-     */
-    Result<AppendResult> append(const std::string &name,
-                                const format::Table &rows);
-
-    /**
-     * append() plus a simulated ingest path: the client uploads the
-     * segment to the coordinator, which streams it to the replicas
-     * (NIC + disk, queued against concurrent query traffic). `done`
-     * fires in simulated time with simulatedAppendSeconds measured by
-     * the DES.
-     */
-    void appendAsync(const std::string &name, const format::Table &rows,
-                     std::function<void(Result<AppendResult>)> done);
-
-    /**
-     * Synchronously folds the object's entire delta log (if any) into a
-     * new base generation — the foreground form of what the background
-     * Compactor schedules. No-op when the log is empty.
-     */
-    Status compactObject(const std::string &name);
-
-    /** The object's delta log, or nullptr when it has none. */
-    const lifecycle::DeltaLog *deltaLog(const std::string &name) const;
-
-    /** The background compactor (policy from StoreOptions::compaction). */
-    lifecycle::Compactor &compactor() { return *compactor_; }
-
-    // CompactionHost (called by lifecycle::Compactor):
-    double lifecycleNowSeconds() const override;
-    void lifecycleScheduleAfter(double delay_seconds,
-                                std::function<void()> fn) override;
-    lifecycle::DeltaLogStats
-    deltaLogStats(const std::string &object) const override;
-    Status compactObjectNow(const std::string &object,
-                            uint64_t seal_seq) override;
+    /** DeltaLifecycle::appendAsync. */
+    void
+    appendAsync(const std::string &name, const format::Table &rows,
+                std::function<void(Result<AppendResult>)> done)
+    {
+        lifecycle_.appendAsync(name, rows, std::move(done));
+    }
 
     /**
      * Reassembles the full object (degraded-read capable). An object
@@ -230,7 +97,7 @@ class ObjectStore : public lifecycle::CompactionHost
      */
     Result<Bytes> get(const std::string &name);
 
-    /** Byte-range read of an object. */
+    /** Byte-range read of an object (of its merged form, as get()). */
     Result<Bytes> get(const std::string &name, uint64_t offset,
                       uint64_t size);
 
@@ -251,15 +118,6 @@ class ObjectStore : public lifecycle::CompactionHost
         uint64_t minNodeBytes = 0; // least-loaded storage node
         uint64_t maxNodeBytes = 0; // most-loaded storage node
         double overheadVsOptimal = 0.0; // aggregate, as in the paper
-
-        double
-        nodeImbalance() const
-        {
-            return minNodeBytes == 0
-                       ? 0.0
-                       : static_cast<double>(maxNodeBytes) /
-                             static_cast<double>(minNodeBytes);
-        }
     };
     StoreStats stats() const;
 
@@ -308,71 +166,10 @@ class ObjectStore : public lifecycle::CompactionHost
     sim::Cluster &cluster() { return cluster_; }
     const StoreOptions &options() const { return options_; }
 
-    /** One coordinator<->node interaction in a query plan. */
-    struct SimTask {
-        SimTask() = default;
-        SimTask(size_t node_id, uint64_t request_bytes,
-                uint64_t disk_bytes, double node_cpu_work,
-                uint64_t reply_bytes, double coord_cpu_work,
-                const char *span_label = "chunk_fetch")
-            : nodeId(node_id), requestBytes(request_bytes),
-              diskBytes(disk_bytes), nodeCpuWork(node_cpu_work),
-              replyBytes(reply_bytes), coordCpuWork(coord_cpu_work),
-              label(span_label)
-        {
-        }
-
-        size_t nodeId = 0;
-        uint64_t requestBytes = 0; // coordinator -> node
-        uint64_t diskBytes = 0;    // sequential read at the node
-        double nodeCpuWork = 0.0;  // decode/eval bytes at the node
-        uint64_t replyBytes = 0;   // node -> coordinator
-        double coordCpuWork = 0.0; // decode/eval bytes at coordinator
-        /** Span name for the tracer ("chunk_fetch", "pushdown", ...). */
-        const char *label = "chunk_fetch";
-
-        // ---- shared-scan metadata (sched::SharedScanScheduler) ----
-
-        /**
-         * Identity of the data movement for cross-query dedup. Two
-         * tasks with equal non-empty keys (planned against the same
-         * store state) represent byte-identical work whose reply can be
-         * shared; empty means never shareable.
-         */
-        std::string shareKey;
-        /** Chunk this task serves, or UINT32_MAX for non-chunk tasks. */
-        uint32_t chunkId = UINT32_MAX;
-        /** The chunk's sizes, the admission window's Cost Equation
-         *  inputs (see query/cost.h). */
-        uint64_t chunkStoredBytes = 0; // wire cost if fetched instead
-        uint64_t chunkPlainBytes = 0;
-        /** Coordinator decode work if this pushdown is converted to a
-         *  fetch, and the per-extra-consumer row-selection pass. */
-        double fetchDecodeWork = 0.0;
-        double consumerSelectWork = 0.0;
-    };
-
-    /** A fully planned query: real results plus simulation byte counts. */
-    struct QueryPlan {
-        size_t coordinatorId = 0;
-        std::vector<SimTask> filterTasks;
-        std::vector<SimTask> projectionTasks;
-        /** Coordinator CPU work between the stages (bitmap combine and
-         *  any chunk decodes that had to happen at the coordinator). */
-        double interStageCoordWork = 0.0;
-        /** Pure waiting the coordinator accumulated before the filter
-         *  stage (retry backoff against faulted nodes). */
-        double extraLatencySeconds = 0.0;
-        /** The client reply encodeClientReply built: wire bytes, the
-         *  plain size of the same values, and the CPU work to encode
-         *  (coordinator) and again to decode (client) it. */
-        uint64_t clientReplyBytes = 0;
-        uint64_t clientReplyPlainBytes = 0;
-        double clientReplyWork = 0.0;
-        QueryOutcome outcome;
-    };
-
-    // ---- query execution (queryAsync and sched::SharedScanScheduler) ----
+    /** The stage DAG every query's simulated time runs through. */
+    StageDag &stages() { return stages_; }
+    /** The delta log, merge and fold of appended objects. */
+    DeltaLifecycle &lifecycle() { return lifecycle_; }
 
     /**
      * Resolves and plans a query without simulating it. Fault deltas
@@ -385,72 +182,23 @@ class ObjectStore : public lifecycle::CompactionHost
     Result<std::shared_ptr<QueryPlan>>
     planQueryForBatch(const query::Query &q);
 
-    /**
-     * Runs one planned task of a stage: `projection` selects the stage's
-     * task list, `ti` indexes it. Must signal `join` exactly once.
-     */
-    using TaskDispatch = std::function<void(
-        bool projection, size_t ti, std::shared_ptr<sim::Join> join)>;
-
-    /**
-     * The stage DAG every query runs through: client RPC -> retry
-     * backoff -> filter_stage -> inter-stage coordinator CPU ->
-     * projection_stage -> client reply (coordinator encode, transfer,
-     * client decode). Each stage hands its tasks to
-     * `dispatch`; queryAsync runs every task alone (accountTask +
-     * executeTask), the admission window dedups them across queries.
-     * The DAG owns the query / filter_stage / projection_stage spans
-     * (`span_args` leads the query span's args), the inter-stage and
-     * client-exchange accounting, latencySeconds (measured from
-     * `start_seconds`) and the latency record. `done` fires at the
-     * client reply with plan->outcome final.
-     */
-    void simulateQuery(std::shared_ptr<QueryPlan> plan, double start_seconds,
-                       const std::string &span_args, TaskDispatch dispatch,
-                       std::function<void()> done);
-
-    /**
-     * Executes one planned task in simulated time: request transfer,
-     * disk, node CPU, reply transfer, coordinator CPU, then one
-     * join->signal(). Safe to call only from the simulation driver.
-     */
-    void executeTask(const SimTask &task, size_t coordinator,
-                     std::shared_ptr<sim::Join> join);
-
-    /**
-     * Folds one task's resource and wire costs into `out` and the
-     * store's wire.* counters (`projection_stage` selects the counter
-     * family). The admission window accounts each deduplicated task
-     * exactly once — that is where the shared-scan wire savings become
-     * visible.
-     */
-    void accountTask(const SimTask &task, size_t coordinator,
-                     bool projection_stage, QueryOutcome &out) const;
-
-    /**
-     * The shared-fetch form of a planned projection pushdown: the
-     * compressed chunk crosses the wire once to the coordinator, which
-     * pays the decode; the pushdown's shared-scan metadata rides along
-     * so every converted consumer keys the same `cfetch|obj|chunk`
-     * transfer. The admission window calls this when a chunk's merged
-     * Cost Equation verdict flips to fetch before its transfer issued.
-     */
-    SimTask makeSharedFetchTask(const SimTask &pushdown) const;
-
     /** The coordinator hot-chunk cache (disabled when capacity is 0). */
     cache::ChunkCache &chunkCache() { return chunkCache_; }
     const cache::ChunkCache &chunkCache() const { return chunkCache_; }
 
     /**
-     * Admits one chunk into the coordinator cache, checking its pieces
-     * directly against the nodes' block maps (no fault accounting —
-     * this models the coordinator retaining bytes it already moved).
-     * Refuses when the cache is off, the object is unknown, any holding
-     * node is unresponsive or a block is shorter than its piece
-     * (degraded bytes never enter the cache). The shared-scan scheduler
-     * calls this after converting a merged pushdown into a fetch.
+     * Admits one chunk of `object`'s base generation `generation` into
+     * the coordinator cache, checking its pieces directly against the
+     * nodes' block maps (no fault accounting — this models the
+     * coordinator retaining bytes it already moved). Refuses when the
+     * cache is off, the object is unknown or no longer at that
+     * generation, any holding node is unresponsive or a block is
+     * shorter than its piece (degraded bytes never enter the cache).
+     * The shared-scan scheduler calls this after converting a merged
+     * pushdown into a fetch.
      */
-    bool admitChunkToCache(const std::string &object, uint32_t chunk_id);
+    bool admitChunkToCache(const std::string &object, uint64_t generation,
+                           uint32_t chunk_id);
 
   protected:
     /** Subclass hook: choose the stripe layout for a new object. */
@@ -497,10 +245,6 @@ class ObjectStore : public lifecycle::CompactionHost
     }
 
     // ---- data plane (real bytes, memoized) ----
-
-    /** Reassembled raw bytes of one chunk (degraded-read capable). */
-    Result<Bytes> readChunkBytes(const ObjectManifest &manifest,
-                                 uint32_t chunk_id);
 
     /**
      * Fills the object's memo with the decoded form of a set of (row
@@ -557,59 +301,6 @@ class ObjectStore : public lifecycle::CompactionHost
     ChunkPushdownState chunkPushdownState(const ObjectManifest &manifest,
                                           uint32_t chunk_id) const;
 
-    /**
-     * Node health as the read path sees it: alive and fast enough that
-     * the modeled response stays inside the read timeout. Dead and
-     * severely slowed (gray-failed) nodes both fail this test.
-     */
-    bool nodeResponsive(const sim::StorageNode &node) const;
-
-    /**
-     * Looks up a block under the timeout + bounded-backoff retry
-     * policy. When the node is unresponsive, retries are modeled at
-     * future simulated times (consulting the cluster's fault injector,
-     * when armed, so a flapping node can recover mid-retry). Returns
-     * nullptr when the block is declared lost — the caller falls back
-     * to parity reconstruction. Counts into the fault.* counters.
-     */
-    const Bytes *fetchBlockWithRetry(const ObjectManifest &manifest,
-                                     size_t stripe, size_t block_index);
-
-    /**
-     * Health-adaptive retry budget for one read (ROADMAP scale-out
-     * item): healthy nodes keep the configured maxReadRetries (so
-     * fault-free runs are bit-identical to the fixed policy), nodes in
-     * an open timeout streak with recent flap evidence get two extra
-     * retries (they tend to come back mid-backoff), and dead nodes
-     * fail fast with a single probe retry so reads fall over to parity
-     * reconstruction without burning the full backoff ladder.
-     */
-    size_t retryBudgetFor(size_t node_id, double now_seconds) const;
-
-    /**
-     * Refreshes the node's health gauge and, on a band transition,
-     * bumps health.updates, emits a `health_update` instant span and
-     * records the transition in the flight recorder.
-     */
-    void noteHealthEvent(double now_seconds, size_t node_id);
-
-    /** Renders + retains a flight-recorder dump (no-op when the
-     *  recorder is disabled); bumps health.flight_dumps and emits a
-     *  `flight_record_dump` instant span. */
-    void dumpFlightRecord(double now_seconds, const char *reason);
-
-    /**
-     * Appends fetch tasks that pull a chunk's raw bytes to the
-     * coordinator: one task per piece on a responsive node, and for
-     * each stripe holding lost pieces one range read per survivor that
-     * rebuildReads picks (known-zero ranges issue no task). The last
-     * task carries `coord_cpu_work` plus the EC decode of k x range
-     * bytes per degraded stripe. Returns total fetched bytes.
-     */
-    uint64_t appendChunkFetchTasks(const ObjectManifest &manifest,
-                                   uint32_t chunk_id, double coord_cpu_work,
-                                   std::vector<SimTask> &tasks);
-
     // ---- coordinator hot-chunk cache (cache/chunk_cache.h) ----
 
     /**
@@ -632,50 +323,20 @@ class ObjectStore : public lifecycle::CompactionHost
     std::map<std::string, ObjectManifest> manifests_;
     obs::Observability obs_;
 
-    /**
-     * Counters resolved once at construction so hot paths (and const
-     * methods like accountTask) skip the registry's name map.
-     */
-    struct Instruments {
-        obs::Counter *readRetries = nullptr;
-        obs::Counter *readTimeouts = nullptr;
-        obs::Counter *parityReconstructions = nullptr;
-        obs::Counter *rebuildReadBytes = nullptr;
-        obs::Counter *degradedChunkReads = nullptr;
-        obs::Counter *pushdownFallbacks = nullptr;
-        obs::DoubleCounter *backoffSeconds = nullptr;
-        obs::Counter *cacheDecodeHit = nullptr;
-        obs::Counter *cacheDecodeMiss = nullptr;
-        obs::Counter *cachePlanHit = nullptr;
-        obs::Counter *cachePlanMiss = nullptr;
-        obs::Counter *wireFilterRequest = nullptr;
-        obs::Counter *wireFilterReply = nullptr;
-        obs::Counter *wireProjectionRequest = nullptr;
-        obs::Counter *wireProjectionReply = nullptr;
-        obs::Counter *wireClientRequest = nullptr;
-        obs::Counter *wireClientReply = nullptr;
-        obs::Counter *wireClientReplyPlain = nullptr;
-        obs::Counter *cacheChunkHits = nullptr;
-        obs::Counter *cacheChunkMisses = nullptr;
-        obs::Counter *cacheChunkEvictions = nullptr;
-        obs::Gauge *cacheChunkBytes = nullptr;
-        obs::Histogram *queryLatency = nullptr;
-        obs::Counter *healthUpdates = nullptr;
-        obs::Counter *flightDumps = nullptr;
-        obs::Counter *appendAppends = nullptr;
-        obs::Counter *appendRows = nullptr;
-        obs::Counter *appendBytes = nullptr;
-        obs::Counter *appendDeltaScans = nullptr;
-        obs::Counter *compactionRuns = nullptr;
-        obs::Counter *compactionAborts = nullptr;
-        obs::Counter *compactionFoldedSegments = nullptr;
-        obs::Counter *compactionBytesIn = nullptr;
-        obs::Counter *compactionBytesOut = nullptr;
-        obs::Counter *compactionHotColocated = nullptr;
-        /** health.node.<id> score gauges, indexed by node id. */
-        std::vector<obs::Gauge *> healthGauges;
-    };
-    Instruments ins_;
+    // Resolved once so hot paths skip the registry's name map. The
+    // fault.* tallies are ReadPath's; planQueryForBatch folds one plan's
+    // share of them into its outcome.
+    obs::Counter &readRetries_ = obs_.metrics.counter("fault.read_retries");
+    obs::Counter &parityReconstructions_ =
+        obs_.metrics.counter("fault.parity_reconstructions");
+    obs::DoubleCounter &backoffSeconds_ =
+        obs_.metrics.doubleCounter("fault.backoff_seconds");
+    obs::Counter &pushdownFallbacks_ =
+        obs_.metrics.counter("fault.pushdown_fallbacks");
+    obs::Counter &cacheDecodeHit_ = obs_.metrics.counter("cache.decode.hit");
+    obs::Counter &cacheDecodeMiss_ = obs_.metrics.counter("cache.decode.miss");
+    obs::Counter &cachePlanHit_ = obs_.metrics.counter("cache.plan.hit");
+    obs::Counter &cachePlanMiss_ = obs_.metrics.counter("cache.plan.miss");
 
     /**
      * The semantic hot-chunk cache. Unlike the data-plane memo below it
@@ -684,41 +345,10 @@ class ObjectStore : public lifecycle::CompactionHost
      * not by being experiment-speed artifacts.
      */
     cache::ChunkCache chunkCache_;
+    StageDag stages_;
+    ReadPath readPath_;
 
   private:
-    /**
-     * One survivor read of a range rebuild: bytes [lo, hi) of block
-     * `block` of the stripe, clipped to the block's true size. lo == hi
-     * means the range lies past the block's end: it is known zero and
-     * needs no I/O, so its node is never contacted.
-     */
-    struct RebuildRead {
-        size_t block = 0;
-        size_t nodeId = 0;
-        uint64_t lo = 0;
-        uint64_t hi = 0;
-    };
-
-    /**
-     * The first k survivors, in block order, that a rebuild of bytes
-     * [offset, offset + size) of `stripe` reads: known-zero ranges and
-     * blocks on responsive nodes that still hold them. Fewer than k
-     * entries means the range cannot be rebuilt. The simulated plan and
-     * the host rebuild both read exactly these survivors.
-     */
-    std::vector<RebuildRead> rebuildReads(const ObjectManifest &manifest,
-                                          size_t stripe, uint64_t offset,
-                                          uint64_t size) const;
-    /**
-     * Range rebuild: reconstructs bytes [offset, offset + size) of every
-     * block of `stripe` from the rebuildReads survivors, each sliced to
-     * the range and zero-extended past its true size. Systematic RS is
-     * linear at each byte position, so a range needs only the same
-     * range of k survivors. Entry b of the result is block b's range.
-     */
-    Result<std::vector<Bytes>> rebuildRange(const ObjectManifest &manifest,
-                                            size_t stripe, uint64_t offset,
-                                            uint64_t size);
     /**
      * Builds the client reply of a planned query, after the delta
      * merge. A non-aggregate column whose every footer chunk is
@@ -730,17 +360,6 @@ class ObjectStore : public lifecycle::CompactionHost
      */
     Status encodeClientReply(const ObjectManifest &manifest,
                              QueryPlan &plan) const;
-    /** Accounts one query's client request/reply exchange into its
-     *  outcome and the wire.client.* counters. */
-    void accountClientExchange(QueryPlan &plan) const;
-    /**
-     * Records one completed query's latency into the histogram, the
-     * "query.latency_seconds" sliding window and (when enabled) the
-     * flight recorder, so windowed rates see every query.
-     */
-    void recordQueryLatency(double now_seconds, double latency_seconds);
-
-    // ---- lifecycle internals ----
 
     /** Builds and writes an object's stripes WITHOUT touching
      *  manifests_ — shared by put() (generation 0) and compaction
@@ -754,48 +373,32 @@ class ObjectStore : public lifecycle::CompactionHost
                       uint64_t generation,
                       const std::vector<uint32_t> &hot_chunks);
 
-    /** Row-group size the base was written with (first full group). */
-    uint64_t baseRowGroupRows(const ObjectManifest &manifest) const;
-
-    /** The stored block of a replicated delta segment (first
-     *  responsive replica); valid until that node's blocks change. */
-    Result<const Bytes *>
-    readDeltaSegment(const lifecycle::DeltaSegment &segment);
-
-    /** The whole object reassembled through readChunkBytes. */
-    Result<Bytes> readObjectBytes(const ObjectManifest &manifest);
-
+    friend class DeltaLifecycle;
     /**
-     * The base plus every delta segment with seq <= up_to_seq, as the
-     * fpax file writeTable would make of the merged rows under the
-     * base's row-group size (format::extendFile: the base's full
-     * leading row groups are copied through, only the tail is
-     * re-encoded). The one merge behind get() and compaction, so a
-     * merged get() is byte-identical to the post-fold base.
+     * A fold's swap: writes `object` as the next generation of `base`,
+     * laid out with the re-stripe hint `hot_chunks`, and swaps it in —
+     * the old generation's blocks and every cached trace of them go.
+     * Returns the new manifest; on error nothing changed.
      */
-    Result<format::WrittenFile>
-    materializeMerged(const ObjectManifest &manifest,
-                      const lifecycle::DeltaLog &log, uint64_t up_to_seq);
+    Result<const ObjectManifest *>
+    installGeneration(const ObjectManifest &base, const Bytes &object,
+                      const std::vector<uint32_t> &hot_chunks);
 
-    /** Folds every live delta segment into the planned base results:
-     *  sim tasks, appended values (base then delta, for every column
-     *  alike), row counts and EXPLAIN entries. */
-    Status mergeDeltaIntoPlan(const ObjectManifest &manifest,
-                              const lifecycle::DeltaLog &log,
-                              const query::Query &resolved,
-                              QueryPlan &plan);
+    /** Drops one generation's blocks from their nodes. */
+    void dropGeneration(const ObjectManifest &manifest);
+    /**
+     * Forgets every derived trace of an object whose content changed:
+     * cache residency, memoized results and the chunk-heat entries
+     * (including its "@gN" / "@delta" aliases) — a later re-stripe or
+     * fusion_top must never see them.
+     */
+    void forgetObject(const std::string &name);
 
-    /** Drops the object's delta segments from their replicas. */
-    void dropDeltaBlocks(const lifecycle::DeltaLog &log,
-                         uint64_t up_to_seq);
-
-    /** Cluster fault-listener callback (crashes dump the recorder). */
-    void onFaultEvent(double seconds, int kind, size_t node,
-                      double slow_factor);
-
-    /** Last reported health band per node (health_update dedup). */
-    std::vector<obs::NodeHealthTracker::Band> lastBand_;
-    size_t faultListenerId_ = 0;
+    /** The one range reader behind both get()s: bytes [offset, offset
+     *  + size) of the object's merged form; the whole object when
+     *  `size` is empty. */
+    Result<Bytes> readObject(const std::string &name, uint64_t offset,
+                             std::optional<uint64_t> size);
 
     /**
      * The data-plane memo, one entry per object name: an experiment-speed
@@ -811,13 +414,7 @@ class ObjectStore : public lifecycle::CompactionHost
     };
     std::map<std::string, ObjectMemo> memo_;
 
-    /**
-     * Per-object append logs. An entry outlives an emptied log (the
-     * sequence counter must never rewind while the object exists) and
-     * is erased only by deleteObject.
-     */
-    std::map<std::string, lifecycle::DeltaLog> deltaLogs_;
-    std::unique_ptr<lifecycle::Compactor> compactor_;
+    DeltaLifecycle lifecycle_;
 };
 
 } // namespace fusion::store

@@ -1,0 +1,71 @@
+/**
+ * @file
+ * Store-wide configuration, shared by ObjectStore and the units it is
+ * built from (read path, delta lifecycle, stage DAG).
+ */
+#ifndef FUSION_STORE_OPTIONS_H
+#define FUSION_STORE_OPTIONS_H
+
+#include <cstddef>
+#include <cstdint>
+
+#include "lifecycle/compactor.h"
+
+namespace fusion::store {
+
+/** Store-wide configuration. */
+struct StoreOptions {
+    size_t n = 9;
+    size_t k = 6;
+    /** Block size for fixed-size coding (baseline and Fusion fallback).
+     *  The paper uses 100 MB on ~10 GB files; scale proportionally. */
+    uint64_t fixedBlockSize = 4ULL << 20;
+    /** FAC fallback threshold (paper: 2%). */
+    double overheadThreshold = 0.02;
+    /** Bytes of a pushdown/fetch request message. */
+    uint64_t requestRpcBytes = 256;
+    /** Bytes of the client's query request. */
+    uint64_t clientRequestBytes = 512;
+    /** Apply the Cost Equation per chunk (Fusion). When false, every
+     *  projection on an intact chunk is pushed down. */
+    bool adaptivePushdown = true;
+    /** Extension (paper future work): compute aggregates on storage
+     *  nodes so pure-aggregate projections reply with scalars. */
+    bool aggregatePushdown = false;
+    /**
+     * Coordinator hot-chunk cache capacity in bytes; 0 (the default)
+     * disables the tier. Chunks the planner fetched to the coordinator
+     * are admitted and later queries evaluate them locally, flipping
+     * the Cost Equation (see cache/chunk_cache.h).
+     */
+    uint64_t cacheBytes = 0;
+
+    // ---- degraded-read robustness (fault injection, see DESIGN.md) ----
+
+    /**
+     * A block read counts as timed out when its node is dead or so
+     * slowed that the modeled response (slowFactor x rpcLatency)
+     * exceeds this bound. Timed-out reads retry with backoff, then
+     * reconstruct from parity.
+     */
+    double readTimeoutSeconds = 1e-3;
+    /** Retry attempts before a timed-out block read is declared lost. */
+    size_t maxReadRetries = 3;
+    /** First retry waits this long; later retries double it... */
+    double retryBackoffBaseSeconds = 1e-3;
+    /** ...up to this cap (bounded exponential backoff). */
+    double retryBackoffMaxSeconds = 8e-3;
+
+    // ---- object lifecycle (append log + compaction, src/lifecycle/) ----
+
+    /** Replication factor for append delta-log segments (small-object
+     *  regime: replicated, never erasure-coded). Capped at numNodes. */
+    size_t deltaReplicas = 3;
+    /** Background compaction triggers; enabled by default (a store
+     *  that never appends schedules no events). */
+    lifecycle::CompactionPolicy compaction;
+};
+
+} // namespace fusion::store
+
+#endif // FUSION_STORE_OPTIONS_H

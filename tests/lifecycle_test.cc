@@ -121,17 +121,17 @@ TEST(LifecycleAppendTest, QueriesMergeDeltaSegments)
 
     format::Table batch_a = workload::makeLineitemTable(120, 21);
     format::Table batch_b = workload::makeLineitemTable(250, 22);
-    auto a = rig.store->append("lineitem", batch_a);
+    auto a = rig.store->lifecycle().append("lineitem", batch_a);
     ASSERT_TRUE(a.isOk()) << a.status().toString();
     EXPECT_EQ(a.value().seq, 0u);
     EXPECT_EQ(a.value().rows, 120u);
     EXPECT_EQ(a.value().replicas, rig.store->options().deltaReplicas);
     EXPECT_GT(a.value().segmentBytes, 0u);
-    auto b = rig.store->append("lineitem", batch_b);
+    auto b = rig.store->lifecycle().append("lineitem", batch_b);
     ASSERT_TRUE(b.isOk());
     EXPECT_EQ(b.value().seq, 1u);
-    ASSERT_NE(rig.store->deltaLog("lineitem"), nullptr);
-    EXPECT_EQ(rig.store->deltaLog("lineitem")->size(), 2u);
+    ASSERT_NE(rig.store->lifecycle().deltaLog("lineitem"), nullptr);
+    EXPECT_EQ(rig.store->lifecycle().deltaLog("lineitem")->size(), 2u);
 
     // Reference: a monolithic put of the concatenated table, written
     // with the same row-group geometry as the appended object's base.
@@ -179,7 +179,7 @@ TEST(LifecycleAppendTest, MergedReplyMatchesFreshPutReference)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     format::Table batch = workload::makeLineitemTable(300, 41);
-    ASSERT_TRUE(rig.store->append("lineitem", batch).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().append("lineitem", batch).isOk());
 
     TestRig ref = makeRig(noCompactionOptions());
     format::WriterOptions writer_options;
@@ -234,7 +234,7 @@ TEST(LifecycleAppendTest, GetReturnsMergedMaterialization)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     format::Table batch = workload::makeLineitemTable(90, 33);
-    ASSERT_TRUE(rig.store->append("lineitem", batch).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().append("lineitem", batch).isOk());
 
     format::Table merged =
         concatTables(workload::makeLineitemTable(kBaseRows, 7), batch);
@@ -267,10 +267,12 @@ TEST(LifecycleCompactionTest, SizeTriggerFoldsLogAndBumpsGeneration)
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
 
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(80, 41))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(80, 41))
             .isOk());
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(60, 42))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(60, 42))
             .isOk());
 
     // The merged read before the fold is the compactor's target image.
@@ -286,10 +288,10 @@ TEST(LifecycleCompactionTest, SizeTriggerFoldsLogAndBumpsGeneration)
     auto m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
     EXPECT_EQ(m.value()->generation, 1u);
-    ASSERT_NE(rig.store->deltaLog("lineitem"), nullptr);
-    EXPECT_TRUE(rig.store->deltaLog("lineitem")->empty());
-    EXPECT_EQ(rig.store->compactor().runs(), 1u);
-    EXPECT_EQ(rig.store->compactor().aborts(), 0u);
+    ASSERT_NE(rig.store->lifecycle().deltaLog("lineitem"), nullptr);
+    EXPECT_TRUE(rig.store->lifecycle().deltaLog("lineitem")->empty());
+    EXPECT_EQ(rig.store->lifecycle().compactor().runs(), 1u);
+    EXPECT_EQ(rig.store->lifecycle().compactor().aborts(), 0u);
 
     auto &metrics = rig.store->obs().metrics;
     EXPECT_EQ(metrics.counter("compaction.runs").value(), 1u);
@@ -321,12 +323,13 @@ TEST(LifecycleCompactionTest, SizeTriggerFoldsLogAndBumpsGeneration)
     EXPECT_EQ(count_after.value().result.rowsMatched,
               count_before.value().result.rowsMatched);
     EXPECT_EQ(count_after.value().deltaSegmentsScanned, 0u);
-    EXPECT_EQ(rig.store->deltaLog("lineitem")->nextSeq(), 2u);
+    EXPECT_EQ(rig.store->lifecycle().deltaLog("lineitem")->nextSeq(), 2u);
 
     // A post-fold append lands in the new generation's log with the
     // next monotone sequence number.
     auto again =
-        rig.store->append("lineitem", workload::makeLineitemTable(10, 43));
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(10, 43));
     ASSERT_TRUE(again.isOk());
     EXPECT_EQ(again.value().seq, 2u);
 }
@@ -340,7 +343,8 @@ TEST(LifecycleCompactionTest, AgeTriggerFoldsWithoutSizePressure)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(30, 51))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(30, 51))
             .isOk());
 
     // One small segment: far below both size thresholds, so only the
@@ -350,8 +354,8 @@ TEST(LifecycleCompactionTest, AgeTriggerFoldsWithoutSizePressure)
     auto m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
     EXPECT_EQ(m.value()->generation, 1u);
-    EXPECT_TRUE(rig.store->deltaLog("lineitem")->empty());
-    EXPECT_EQ(rig.store->compactor().runs(), 1u);
+    EXPECT_TRUE(rig.store->lifecycle().deltaLog("lineitem")->empty());
+    EXPECT_EQ(rig.store->lifecycle().compactor().runs(), 1u);
     EXPECT_GE(rig.cluster->engine().now(), 0.05);
 }
 
@@ -364,7 +368,8 @@ TEST(LifecycleCompactionTest, AbortLeavesOldGenerationAndLogIntact)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(40, 61))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(40, 61))
             .isOk());
 
     // Kill n-k+1 nodes: the base can no longer be read even with
@@ -373,32 +378,34 @@ TEST(LifecycleCompactionTest, AbortLeavesOldGenerationAndLogIntact)
     for (size_t node = 0; node < 4; ++node)
         rig.cluster->killNode(node);
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(40, 62))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(40, 62))
             .isOk());
     rig.cluster->engine().run();
 
-    EXPECT_GE(rig.store->compactor().aborts(), 1u);
-    EXPECT_EQ(rig.store->compactor().runs(), 0u);
+    EXPECT_GE(rig.store->lifecycle().compactor().aborts(), 1u);
+    EXPECT_EQ(rig.store->lifecycle().compactor().runs(), 0u);
     EXPECT_GE(
         rig.store->obs().metrics.counter("compaction.aborts").value(), 1u);
     auto m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
     EXPECT_EQ(m.value()->generation, 0u);
-    EXPECT_EQ(rig.store->deltaLog("lineitem")->size(), 2u);
+    EXPECT_EQ(rig.store->lifecycle().deltaLog("lineitem")->size(), 2u);
 
     // Recovery: revive the nodes; the next append re-triggers the fold
     // and it now succeeds over the full three-segment log.
     for (size_t node = 0; node < 4; ++node)
         rig.cluster->reviveNode(node);
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(40, 63))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(40, 63))
             .isOk());
     rig.cluster->engine().run();
     m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
     EXPECT_EQ(m.value()->generation, 1u);
-    EXPECT_TRUE(rig.store->deltaLog("lineitem")->empty());
-    EXPECT_EQ(rig.store->compactor().runs(), 1u);
+    EXPECT_TRUE(rig.store->lifecycle().deltaLog("lineitem")->empty());
+    EXPECT_EQ(rig.store->lifecycle().compactor().runs(), 1u);
 
     format::Table merged = concatTables(
         concatTables(
@@ -423,14 +430,15 @@ TEST(LifecycleCompactionTest, FoldWithNMinusKNodesDownIsByteIdentical)
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     format::Table batch_a = workload::makeLineitemTable(150, 71);
     format::Table batch_b = workload::makeLineitemTable(520, 72);
-    ASSERT_TRUE(rig.store->append("lineitem", batch_a).isOk());
-    ASSERT_TRUE(rig.store->append("lineitem", batch_b).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().append("lineitem", batch_a).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().append("lineitem", batch_b).isOk());
 
     // RS(9,6): kill n - k = 3 nodes, sparing one replica of every delta
     // segment. The base's copied-through row groups then arrive through
     // parity rebuilds.
     std::vector<bool> spared(rig.cluster->numNodes(), false);
-    for (const auto &segment : rig.store->deltaLog("lineitem")->segments())
+    for (const auto &segment :
+         rig.store->lifecycle().deltaLog("lineitem")->segments())
         spared[segment.replicaNodes.front()] = true;
     size_t killed = 0;
     for (size_t node = 0; node < spared.size() && killed < 3; ++node) {
@@ -442,7 +450,7 @@ TEST(LifecycleCompactionTest, FoldWithNMinusKNodesDownIsByteIdentical)
     ASSERT_EQ(killed, 3u);
     rig.store->dropCaches();
 
-    auto folded = rig.store->compactObject("lineitem");
+    auto folded = rig.store->lifecycle().compactObject("lineitem");
     ASSERT_TRUE(folded.isOk()) << folded.toString();
     EXPECT_EQ(rig.store->manifest("lineitem").value()->generation, 1u);
     EXPECT_GE(rig.store->obs()
@@ -478,8 +486,8 @@ TEST(LifecycleCompactionTest, BaseWithOtherChunkOptionsKeepsItsPrefixEncoding)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     format::Table batch = workload::makeLineitemTable(230, 81);
-    ASSERT_TRUE(rig.store->append("lineitem", batch).isOk());
-    ASSERT_TRUE(rig.store->compactObject("lineitem").isOk());
+    ASSERT_TRUE(rig.store->lifecycle().append("lineitem", batch).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().compactObject("lineitem").isOk());
     EXPECT_EQ(rig.store->manifest("lineitem").value()->generation, 1u);
 
     auto got = rig.store->get("lineitem");
@@ -540,9 +548,10 @@ TEST(LifecycleRestripeTest, HotColumnsColocateAndSurfaceInExplain)
     }
 
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(50, 71))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(50, 71))
             .isOk());
-    ASSERT_TRUE(rig.store->compactObject("lineitem").isOk());
+    ASSERT_TRUE(rig.store->lifecycle().compactObject("lineitem").isOk());
 
     auto m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
@@ -602,9 +611,10 @@ TEST(LifecycleRestripeTest, UniformHeatKeepsSizeOnlyLayout)
     // No queries => no heat: the fold must fall back to the plain FAC
     // layout with an empty co-location hint.
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(50, 72))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(50, 72))
             .isOk());
-    ASSERT_TRUE(rig.store->compactObject("lineitem").isOk());
+    ASSERT_TRUE(rig.store->lifecycle().compactObject("lineitem").isOk());
     auto m = rig.store->manifest("lineitem");
     ASSERT_TRUE(m.isOk());
     EXPECT_EQ(m.value()->generation, 1u);
@@ -624,7 +634,8 @@ TEST(LifecycleDeleteTest, DeleteEvictsDeltaReplicasHeatAndCache)
     ASSERT_TRUE(base.isOk());
     ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
     ASSERT_TRUE(
-        rig.store->append("lineitem", workload::makeLineitemTable(40, 81))
+        rig.store->lifecycle()
+            .append("lineitem", workload::makeLineitemTable(40, 81))
             .isOk());
     // Warm heat (base chunks + the delta alias) and cache residency.
     ASSERT_TRUE(rig.store
@@ -638,7 +649,7 @@ TEST(LifecycleDeleteTest, DeleteEvictsDeltaReplicasHeatAndCache)
 
     ASSERT_TRUE(rig.store->deleteObject("lineitem").isOk());
     EXPECT_FALSE(rig.store->contains("lineitem"));
-    EXPECT_EQ(rig.store->deltaLog("lineitem"), nullptr);
+    EXPECT_EQ(rig.store->lifecycle().deltaLog("lineitem"), nullptr);
     // No stale chunks anywhere the re-stripe policy or fusion_top
     // consult, and no bytes left on any node (base stripes AND the
     // replicated delta segments are gone).
@@ -656,14 +667,14 @@ TEST(LifecycleAppendTest, ValidationRejectsBadBatches)
     format::Table batch = workload::makeLineitemTable(10, 91);
 
     // Unknown object.
-    EXPECT_FALSE(rig.store->append("missing", batch).isOk());
+    EXPECT_FALSE(rig.store->lifecycle().append("missing", batch).isOk());
 
     // Non-fpax object.
     Bytes blob;
     for (int i = 0; i < 1024; ++i)
         blob.push_back(static_cast<uint8_t>(i & 0xff));
     ASSERT_TRUE(rig.store->put("blob", blob).isOk());
-    EXPECT_EQ(rig.store->append("blob", batch).status().code(),
+    EXPECT_EQ(rig.store->lifecycle().append("blob", batch).status().code(),
               StatusCode::kFailedPrecondition);
 
     auto base = workload::buildLineitemFile(kBaseRows, 7);
@@ -672,7 +683,7 @@ TEST(LifecycleAppendTest, ValidationRejectsBadBatches)
 
     // Empty batch.
     format::Table empty(workload::lineitemSchema());
-    EXPECT_EQ(rig.store->append("lineitem", empty).status().code(),
+    EXPECT_EQ(rig.store->lifecycle().append("lineitem", empty).status().code(),
               StatusCode::kInvalidArgument);
 
     // Schema mismatch.
@@ -681,11 +692,13 @@ TEST(LifecycleAppendTest, ValidationRejectsBadBatches)
                       format::LogicalType::kNone});
     format::Table mismatched(narrow);
     mismatched.column(0).append(static_cast<int64_t>(1));
-    EXPECT_EQ(rig.store->append("lineitem", mismatched).status().code(),
+    EXPECT_EQ(rig.store->lifecycle()
+                  .append("lineitem", mismatched).status().code(),
               StatusCode::kInvalidArgument);
 
     // Nothing slipped into the log or the counters.
-    const lifecycle::DeltaLog *log = rig.store->deltaLog("lineitem");
+    const lifecycle::DeltaLog *log =
+        rig.store->lifecycle().deltaLog("lineitem");
     EXPECT_TRUE(log == nullptr || log->empty());
     EXPECT_EQ(rig.store->obs().metrics.counter("append.appends").value(),
               0u);

@@ -1146,7 +1146,8 @@ runMemoSequence(bool fusion, size_t threads, bool drop_memo)
     FUSION_CHECK(store->put("lineitem", file.value().bytes).isOk());
     FUSION_CHECK(store->put("appended", file.value().bytes).isOk());
     FUSION_CHECK(
-        store->append("appended", workload::makeLineitemTable(300, 41))
+        store->lifecycle()
+            .append("appended", workload::makeLineitemTable(300, 41))
             .isOk());
 
     format::Table table = workload::makeLineitemTable(3000, 7);

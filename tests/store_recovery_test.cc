@@ -514,12 +514,13 @@ runCrashMidCompaction(size_t threads)
     FUSION_CHECK(rig.store->put("lineitem", lineitemBytes()).isOk());
     format::Table batch_a = workload::makeLineitemTable(80, 61);
     format::Table batch_b = workload::makeLineitemTable(80, 62);
-    FUSION_CHECK(rig.store->append("lineitem", batch_a).isOk());
+    FUSION_CHECK(rig.store->lifecycle().append("lineitem", batch_a).isOk());
     // The second append crosses maxDeltaSegments: the log seals and the
     // fold is scheduled estimatedCompactSeconds ahead.
-    FUSION_CHECK(rig.store->append("lineitem", batch_b).isOk());
+    FUSION_CHECK(rig.store->lifecycle().append("lineitem", batch_b).isOk());
     double fold_delay =
-        rig.store->deltaLogStats("lineitem").estimatedCompactSeconds;
+        rig.store->lifecycle()
+            .deltaLogStats("lineitem").estimatedCompactSeconds;
     FUSION_CHECK(fold_delay > 0.0);
 
     // Crash a node halfway through the compaction window; it never
@@ -546,8 +547,8 @@ runCrashMidCompaction(size_t threads)
     auto m = rig.store->manifest("lineitem");
     FUSION_CHECK(m.isOk());
     run.generation = m.value()->generation;
-    run.runs = rig.store->compactor().runs();
-    run.aborts = rig.store->compactor().aborts();
+    run.runs = rig.store->lifecycle().compactor().runs();
+    run.aborts = rig.store->lifecycle().compactor().aborts();
     run.parityReconstructions =
         faultCount(*rig.store, "parity_reconstructions");
     run.metricsJson = rig.store->obs().metrics.snapshot().toJson();

@@ -106,7 +106,8 @@ TEST(PutGetTest, RangeReadsRejectOverflowingExtents)
     ASSERT_TRUE(rig.store->put("appended", lineitemBytes(1000)).isOk());
     ASSERT_TRUE(
         rig.store
-            ->append("appended", workload::makeLineitemTable(50, 3))
+            ->lifecycle()
+            .append("appended", workload::makeLineitemTable(50, 3))
             .isOk());
     for (const char *name : {"plain", "appended"}) {
         for (auto [offset, size] :
@@ -182,6 +183,41 @@ TEST(PutGetTest, OverwriteReplacesObject)
     auto back = rig.store->get("obj");
     ASSERT_TRUE(back.isOk());
     EXPECT_EQ(back.value(), v2);
+}
+
+TEST(PutGetTest, NamesThatSpellAnotherObjectsKeysAreRejected)
+{
+    TestRig rig = makeRig(true);
+    ASSERT_TRUE(rig.store->put("t", lineitemBytes()).isOk());
+    ASSERT_TRUE(
+        rig.store->lifecycle()
+            .append("t", workload::makeLineitemTable(500, 9)).isOk());
+    ASSERT_TRUE(rig.store->lifecycle().compactObject("t").isOk());
+    auto before = rig.store->get("t");
+    ASSERT_TRUE(before.isOk());
+    // "t@g1" is t's generation-1 key prefix: storing it would overwrite
+    // t's blocks. A '|' would split a scheduler share key.
+    for (const char *name : {"", "t@g1", "t|0"})
+        EXPECT_EQ(rig.store->put(name, lineitemBytes()).status().code(),
+                  StatusCode::kInvalidArgument)
+            << "'" << name << "'";
+    auto after = rig.store->get("t");
+    ASSERT_TRUE(after.isOk());
+    EXPECT_EQ(after.value(), before.value());
+}
+
+TEST(PutGetTest, DeleteKeepsHeatOfPrefixNamedObjects)
+{
+    TestRig rig = makeRig(true);
+    for (const char *name : {"a", "a#0"})
+        ASSERT_TRUE(rig.store->put(name, lineitemBytes()).isOk());
+    const format::Table table = workload::makeLineitemTable(4000, 7);
+    ASSERT_TRUE(rig.store->query(workload::lineitemQ1("a#0", table)).isOk());
+    const obs::ChunkHeatTable &heat = rig.store->obs().telemetry.heat();
+    const size_t entries = heat.size();
+    ASSERT_GT(entries, 0u);
+    ASSERT_TRUE(rig.store->deleteObject("a").isOk());
+    EXPECT_EQ(heat.size(), entries);
 }
 
 TEST(PutGetTest, StoredBytesMatchNodeAccounting)
@@ -550,20 +586,11 @@ referenceColumn(const format::Table &t, size_t col, double limit)
 
 /** Runs a planned query alone through the stage DAG, as queryAsync. */
 QueryOutcome
-simulatePlan(ObjectStore &store,
-             const std::shared_ptr<ObjectStore::QueryPlan> &plan)
+simulatePlan(ObjectStore &store, const std::shared_ptr<QueryPlan> &plan)
 {
-    auto dispatch = [&store, plan](bool projection, size_t ti,
-                                   std::shared_ptr<sim::Join> join) {
-        const auto &task = projection ? plan->projectionTasks[ti]
-                                      : plan->filterTasks[ti];
-        store.accountTask(task, plan->coordinatorId, projection,
-                          plan->outcome);
-        store.executeTask(task, plan->coordinatorId, std::move(join));
-    };
     bool done = false;
-    store.simulateQuery(plan, store.cluster().engine().now(), "", dispatch,
-                        [&done]() { done = true; });
+    store.stages().simulateQuery(plan, store.cluster().engine().now(), "",
+                                 nullptr, [&done]() { done = true; });
     store.cluster().engine().run();
     EXPECT_TRUE(done);
     return plan->outcome;
@@ -627,7 +654,7 @@ TEST(ClientReplyTest, DictionaryColumnShipsEncoded)
         auto with_reply = planned.value();
         EXPECT_EQ(with_reply->clientReplyBytes, encoded);
         EXPECT_DOUBLE_EQ(with_reply->clientReplyWork, work);
-        auto without = std::make_shared<ObjectStore::QueryPlan>(*with_reply);
+        auto without = std::make_shared<QueryPlan>(*with_reply);
         without->clientReplyWork = 0.0;
         const QueryOutcome a = simulatePlan(*rig.store, with_reply);
         const QueryOutcome b = simulatePlan(*rig.store, without);
