@@ -2,8 +2,8 @@
  * @file
  * Object-lifecycle benchmark: a lineitem object ingests a steady
  * append stream while closed-loop clients query it, with background
- * compaction on vs off (src/lifecycle/). The query mix is skewed to
- * the quantity/extendedprice columns, so the compaction-on rig's
+ * compaction on vs off (store/delta_lifecycle.h). The query mix is
+ * skewed to the quantity/extendedprice columns, so the compaction-on rig's
  * heat-driven re-stripe co-locates those chunks in leading stripes.
  *
  * Per cell the bench reports storage wire bytes (wire.filter.* +

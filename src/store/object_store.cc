@@ -227,7 +227,6 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
     FUSION_RETURN_IF_ERROR(manifest.layout.validate(manifest.extents));
 
     // Place each stripe on n distinct random nodes (paper §4.2).
-    std::vector<uint64_t> node_bytes(cluster_.numNodes(), 0);
     for (size_t s = 0; s < manifest.layout.stripes.size(); ++s)
         manifest.stripeNodes.push_back(cluster_.chooseNodes(options_.n));
 
@@ -274,10 +273,8 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
             Bytes &bytes = stripe_blocks[s][b];
             if (bytes.empty())
                 continue; // implicit zero block
-            size_t node_id = manifest.stripeNodes[s][b];
-            node_bytes[node_id] += bytes.size();
-            cluster_.node(node_id).putBlock(manifest.blockKey(s, b),
-                                            std::move(bytes));
+            cluster_.node(manifest.stripeNodes[s][b])
+                .putBlock(manifest.blockKey(s, b), std::move(bytes));
         }
     }
     manifest.buildLocationMap();
@@ -298,24 +295,6 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
         return total ? static_cast<double>(split) / total : 0.0;
     }();
     result.layoutSeconds = layout_seconds;
-
-    // Analytic put-time model: client uploads to the coordinator, which
-    // streams blocks to nodes in parallel; the slowest node bounds it.
-    const sim::NodeConfig &nc = cluster_.config().node;
-    double client_transfer = static_cast<double>(manifest.objectSize) /
-                                 nc.nicBandwidth +
-                             nc.rpcLatency;
-    double slowest_node = 0.0;
-    for (uint64_t bytes : node_bytes) {
-        double t = static_cast<double>(bytes) / nc.nicBandwidth +
-                   static_cast<double>(bytes) / nc.diskBandwidth;
-        slowest_node = std::max(slowest_node, t);
-    }
-    // Simulated time must stay reproducible, so the wall-clock layout
-    // measurement is reported separately (layoutSeconds) and never
-    // added here — mixing it in would make put timings (and anything
-    // downstream of them) vary run to run with machine load.
-    result.simulatedPutSeconds = client_transfer + slowest_node;
 
     StoredObject out;
     out.manifest = std::move(manifest);
@@ -378,7 +357,7 @@ ObjectStore::readObject(const std::string &name, uint64_t offset,
     if (!m.isOk())
         return m.status();
     const ObjectManifest &base = *m.value();
-    const lifecycle::DeltaLog *log = lifecycle_.deltaLog(name);
+    const DeltaLog *log = lifecycle_.deltaLog(name);
     if (log == nullptr || log->empty()) {
         const uint64_t n = size.value_or(base.objectSize);
         if (n > base.objectSize || offset > base.objectSize - n)
@@ -524,7 +503,6 @@ Result<const ObjectStore::DataPlane *>
 ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                               const query::Query &q)
 {
-    // Taken once: the parallel loops below only read the memo.
     ObjectMemo &memo = memo_[manifest.name];
     std::string plane_key = q.toString();
     auto cached = memo.planes.find(plane_key);
@@ -534,7 +512,26 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     }
     cachePlanMiss_.add(1);
 
-    const format::FileMetadata &meta = manifest.fileMeta;
+    // Chunks decode into the memo (fetch serial, decode on the shared
+    // ThreadPool; see prefetchDecodedChunks); the kernel only reads it.
+    ChunkSource source{
+        [&](const std::vector<std::pair<size_t, size_t>> &rg_cols) {
+            return prefetchDecodedChunks(manifest, rg_cols);
+        },
+        [&](size_t rg, size_t col) -> const format::ColumnData & {
+            return memo.chunks.at(manifest.chunkIdFor(rg, col));
+        }};
+    auto plane = runDataPlane(manifest.fileMeta, q, source);
+    if (!plane.isOk())
+        return plane.status();
+    return &memo.planes.emplace(std::move(plane_key), std::move(plane.value()))
+                .first->second;
+}
+
+Result<ObjectStore::DataPlane>
+ObjectStore::runDataPlane(const format::FileMetadata &meta,
+                          const query::Query &q, const ChunkSource &source)
+{
     const format::Schema &schema = meta.schema;
     DataPlane plane;
 
@@ -553,16 +550,15 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
             scanned.push_back(rg);
     }
 
-    // Decode every filter chunk the scan will touch, concurrently
-    // (fetch stays serial inside; see prefetchDecodedChunks), then
-    // evaluate every (row group, predicate) bitmap concurrently — both
-    // are pure CPU work inside this one simulated event.
+    // Load every filter chunk the scan will touch, then evaluate every
+    // (row group, predicate) bitmap concurrently — pure CPU work inside
+    // one simulated event.
     std::vector<std::pair<size_t, size_t>> filter_chunks;
     for (size_t rg : scanned)
         for (const auto &col_name : q.filterColumns())
             filter_chunks.emplace_back(
                 rg, schema.columnIndex(col_name).value());
-    FUSION_RETURN_IF_ERROR(prefetchDecodedChunks(manifest, filter_chunks));
+    FUSION_RETURN_IF_ERROR(source.load(filter_chunks));
 
     const size_t nf = q.filters.size();
     std::vector<size_t> pred_cols(nf);
@@ -576,8 +572,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
             const size_t rg = scanned[i / nf], p = i % nf;
             const query::Predicate &pred = q.filters[p];
             pred_bitmaps[i] = query::evalPredicate(
-                memo.chunks.at(manifest.chunkIdFor(rg, pred_cols[p])),
-                pred.op, pred.literal);
+                source.chunk(rg, pred_cols[p]), pred.op, pred.literal);
         });
     for (const auto &bitmap : pred_bitmaps)
         if (!bitmap.isOk())
@@ -615,8 +610,8 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                   static_cast<double>(meta.numRows);
 
     // ---- projection stage (real) ----
-    // Decode all projection chunks the selection touches concurrently
-    // before the (ordered) materialization loop below.
+    // Load all projection chunks the selection touches before the
+    // (ordered) materialization loop below.
     std::vector<std::pair<size_t, size_t>> projection_chunks;
     for (const auto &name : q.projectionColumns()) {
         size_t col = schema.columnIndex(name).value();
@@ -626,8 +621,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                 projection_chunks.emplace_back(rg, col);
         }
     }
-    FUSION_RETURN_IF_ERROR(
-        prefetchDecodedChunks(manifest, projection_chunks));
+    FUSION_RETURN_IF_ERROR(source.load(projection_chunks));
 
     std::map<std::string, format::ColumnData> projected;
     for (const auto &name : q.projectionColumns()) {
@@ -637,8 +631,8 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
             const auto &bitmap = plane.rowGroupBitmaps[rg];
             if (!bitmap.has_value() || bitmap->count() == 0)
                 continue;
-            format::ColumnData selected = query::selectRows(
-                memo.chunks.at(manifest.chunkIdFor(rg, col)), *bitmap);
+            format::ColumnData selected =
+                query::selectRows(source.chunk(rg, col), *bitmap);
             plane.projectionReplySize[{rg, col}] =
                 selected.plainEncodedSize();
             values.append(selected);
@@ -661,8 +655,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
         plane.result.columns.push_back(std::move(out));
     }
 
-    return &memo.planes.emplace(std::move(plane_key), std::move(plane))
-                .first->second;
+    return plane;
 }
 
 ObjectStore::ChunkPushdownState

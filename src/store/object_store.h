@@ -52,6 +52,7 @@ struct PutResult {
     /** Wall-clock of stripe construction — reporting only; it never
      *  feeds simulated time (which must be reproducible). */
     double layoutSeconds = 0.0;
+    /** Set by putAsync only: the write time the DES measured. */
     double simulatedPutSeconds = 0.0;
 };
 
@@ -76,7 +77,7 @@ class ObjectStore
      * uploads to the coordinator, which streams data and parity blocks
      * to their nodes (NIC + disk, queued against any concurrent work).
      * `done` fires in simulated time with simulatedPutSeconds measured
-     * by the DES instead of the analytic model.
+     * by the DES.
      */
     void putAsync(const std::string &name, Bytes object,
                   std::function<void(Result<PutResult>)> done);
@@ -281,7 +282,31 @@ class ObjectStore
     };
 
     /**
-     * Runs filters and projections on real data, memoized per (object,
+     * Where the data-plane kernel reads decoded chunks: `load` makes
+     * every listed (row group, column) chunk available and `chunk`
+     * returns one it loaded. The kernel calls `chunk` from parallel
+     * loops, so it must only read.
+     */
+    struct ChunkSource {
+        std::function<Status(const std::vector<std::pair<size_t, size_t>> &)>
+            load;
+        std::function<const format::ColumnData &(size_t, size_t)> chunk;
+    };
+
+    /**
+     * The data-plane kernel over one fpax file, memo-free: zone-map
+     * pruning, per-(row group, predicate) bitmaps ANDed per column and
+     * per row group, then row selection for every projected column.
+     * Loads the zone-map survivors' filter chunks, then the projected
+     * chunks of the row groups with a match. The base runs it over its
+     * memo (executeDataPlane), a delta segment over its replica.
+     */
+    static Result<DataPlane> runDataPlane(const format::FileMetadata &meta,
+                                          const query::Query &q,
+                                          const ChunkSource &source);
+
+    /**
+     * runDataPlane over the object's base, memoized per (object,
      * query). The pointer stays valid until the object's memo entry is
      * dropped (dropCaches, delete, overwrite or compaction swap).
      */

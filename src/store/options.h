@@ -9,9 +9,17 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "lifecycle/compactor.h"
-
 namespace fusion::store {
+
+/** When DeltaLifecycle seals and folds an object's delta log. */
+struct CompactionPolicy {
+    bool enabled = true;
+    /** Seal when this many segments accumulate (or the log reaches
+     *  DeltaLifecycle's 1 MiB byte trigger)... */
+    size_t maxDeltaSegments = 8;
+    /** ...or when the oldest segment is this old (0 = no age trigger). */
+    double maxAgeSeconds = 0.0;
+};
 
 /** Store-wide configuration. */
 struct StoreOptions {
@@ -56,14 +64,14 @@ struct StoreOptions {
     /** ...up to this cap (bounded exponential backoff). */
     double retryBackoffMaxSeconds = 8e-3;
 
-    // ---- object lifecycle (append log + compaction, src/lifecycle/) ----
+    // ---- object lifecycle (append log + compaction, delta_lifecycle.h) ----
 
     /** Replication factor for append delta-log segments (small-object
      *  regime: replicated, never erasure-coded). Capped at numNodes. */
     size_t deltaReplicas = 3;
     /** Background compaction triggers; enabled by default (a store
      *  that never appends schedules no events). */
-    lifecycle::CompactionPolicy compaction;
+    CompactionPolicy compaction;
 };
 
 } // namespace fusion::store

@@ -516,11 +516,10 @@ runCrashMidCompaction(size_t threads)
     format::Table batch_b = workload::makeLineitemTable(80, 62);
     FUSION_CHECK(rig.store->lifecycle().append("lineitem", batch_a).isOk());
     // The second append crosses maxDeltaSegments: the log seals and the
-    // fold is scheduled estimatedCompactSeconds ahead.
+    // fold is scheduled estimatedFoldSeconds ahead.
     FUSION_CHECK(rig.store->lifecycle().append("lineitem", batch_b).isOk());
     double fold_delay =
-        rig.store->lifecycle()
-            .deltaLogStats("lineitem").estimatedCompactSeconds;
+        rig.store->lifecycle().estimatedFoldSeconds("lineitem");
     FUSION_CHECK(fold_delay > 0.0);
 
     // Crash a node halfway through the compaction window; it never
@@ -547,8 +546,9 @@ runCrashMidCompaction(size_t threads)
     auto m = rig.store->manifest("lineitem");
     FUSION_CHECK(m.isOk());
     run.generation = m.value()->generation;
-    run.runs = rig.store->lifecycle().compactor().runs();
-    run.aborts = rig.store->lifecycle().compactor().aborts();
+    run.runs = rig.store->obs().metrics.counter("compaction.runs").value();
+    run.aborts =
+        rig.store->obs().metrics.counter("compaction.aborts").value();
     run.parityReconstructions =
         faultCount(*rig.store, "parity_reconstructions");
     run.metricsJson = rig.store->obs().metrics.snapshot().toJson();
