@@ -22,22 +22,20 @@
  * Everything runs in simulation, so every number is deterministic and
  * the JSON output can be gated byte-for-byte-stable in CI. Writes
  * BENCH_cache_zipf.json and, with --check, exits nonzero when any
- * metric regressed more than --tolerance vs the checked-in baseline or
- * when the high-skew/10%-cache cell misses the acceptance bound
- * (>= 30% wire-byte reduction and a lower p99 than cache-off).
+ * baseline metric is missing or regressed more than 5% vs the
+ * checked-in baseline or when the high-skew/10%-cache cell misses the
+ * acceptance bound (>= 30% wire-byte reduction and a lower p99 than
+ * cache-off).
  *
  * Usage:
  *   bench_cache_zipf [--quick] [--out=PATH] [--check=BASELINE]
- *                    [--tolerance=0.05]
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "benchutil/gate.h"
 #include "benchutil/harness.h"
 #include "common/random.h"
 #include "obs/timeseries.h"
@@ -49,6 +47,9 @@
 using namespace fusion;
 
 namespace {
+
+/** Every gated number is simulated, so the gate allows 5% drift. */
+constexpr double kTolerance = 0.05;
 
 struct Rig {
     std::unique_ptr<sim::Cluster> cluster;
@@ -178,100 +179,17 @@ printHeatReport(const CellResult &cell, double theta, double frac)
     heat.print();
 }
 
-void
-writeJson(const std::string &path, bool quick,
-          const std::vector<std::pair<std::string, double>> &metrics)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"cache_zipf\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (size_t i = 0; i < metrics.size(); ++i)
-        std::fprintf(f, "    \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                     metrics[i].second,
-                     i + 1 < metrics.size() ? "," : "");
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-}
-
-/** Minimal parser for the flat {"metrics": {"name": number}} schema
- *  this binary writes (same shape as bench_kernels). */
-std::map<std::string, double>
-readBaselineMetrics(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-
-    std::map<std::string, double> metrics;
-    size_t obj = text.find("\"metrics\"");
-    if (obj == std::string::npos)
-        return metrics;
-    obj = text.find('{', obj);
-    size_t end_obj = text.find('}', obj);
-    if (obj == std::string::npos || end_obj == std::string::npos)
-        return metrics;
-    size_t cur = obj;
-    while (true) {
-        size_t q0 = text.find('"', cur);
-        if (q0 == std::string::npos || q0 > end_obj)
-            break;
-        size_t q1 = text.find('"', q0 + 1);
-        size_t colon = text.find(':', q1);
-        if (q1 == std::string::npos || colon == std::string::npos ||
-            colon > end_obj)
-            break;
-        char *end = nullptr;
-        double v = std::strtod(text.c_str() + colon + 1, &end);
-        if (end == text.c_str() + colon + 1)
-            break;
-        metrics[text.substr(q0 + 1, q1 - q0 - 1)] = v;
-        cur = static_cast<size_t>(end - text.c_str());
-    }
-    return metrics;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     benchutil::obsInit(argc, argv);
-    bool quick = false;
-    std::string out_path = "BENCH_cache_zipf.json";
-    std::string baseline_path;
-    double tolerance = 0.05;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--check=", 0) == 0)
-            baseline_path = arg.substr(8);
-        else if (arg.rfind("--tolerance=", 0) == 0)
-            tolerance = std::atof(arg.c_str() + 12);
-        else if (arg.rfind("--trace-out=", 0) == 0 ||
-                 arg.rfind("--metrics-out=", 0) == 0 ||
-                 arg.rfind("--timeseries-out=", 0) == 0)
-            continue; // consumed by obsInit
-        else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            return 2;
-        }
-    }
+    benchutil::GateFlags flags;
+    flags.out = "BENCH_cache_zipf.json";
+    if (!benchutil::parseGateFlags(argc, argv, flags))
+        return 2;
+    const bool quick = flags.quick;
 
     benchutil::banner("cache-zipf",
                       "Coordinator hot-chunk cache under Zipf skew");
@@ -290,7 +208,7 @@ main(int argc, char **argv)
                 num_objects, rows, queries,
                 static_cast<double>(working_set) / 1e6);
 
-    std::vector<std::pair<std::string, double>> metrics;
+    benchutil::Metrics metrics;
     benchutil::TablePrinter table(
         {"theta", "cache %ws", "off wire MB", "on wire MB",
          "wire saved %", "off p50 ms", "on p50 ms", "off p99 ms",
@@ -372,36 +290,10 @@ main(int argc, char **argv)
         printHeatReport(heat_cell, 0.99, 0.10);
     }
 
-    writeJson(out_path, quick, metrics);
-    std::printf("wrote %s\n", out_path.c_str());
-
-    if (!baseline_path.empty()) {
-        auto baseline = readBaselineMetrics(baseline_path);
-        std::map<std::string, double> current(metrics.begin(),
-                                              metrics.end());
-        int failures = 0;
-        for (const auto &[name, want] : baseline) {
-            auto it = current.find(name);
-            if (it == current.end())
-                continue;
-            double floor = want * (1.0 - tolerance);
-            bool ok = it->second >= floor;
-            std::printf("  check %-28s %10.4f >= %10.4f %s\n",
-                        name.c_str(), it->second, floor,
-                        ok ? "ok" : "REGRESSED");
-            failures += ok ? 0 : 1;
-        }
-        if (failures > 0) {
-            std::fprintf(stderr,
-                         "%d cache metric(s) regressed more than "
-                         "%.0f%% vs %s\n",
-                         failures, tolerance * 100.0,
-                         baseline_path.c_str());
-            return 1;
-        }
-        std::printf("all cache metrics within %.0f%% of baseline\n",
-                    tolerance * 100.0);
-    }
+    if (benchutil::writeAndCheck(flags, "cache_zipf",
+                                 {{"quick", quick ? "true" : "false"}},
+                                 metrics, kTolerance) > 0)
+        return 1;
     if (acceptance_failures > 0) {
         std::fprintf(stderr,
                      "%d cell(s) failed the cache acceptance bound\n",

@@ -17,22 +17,21 @@
  * Everything runs in simulation, so every number is deterministic and
  * the JSON output can be gated byte-for-byte-stable in CI. Writes
  * BENCH_ingest_compact.json and, with --check, exits nonzero when any
- * metric regressed more than --tolerance vs the checked-in baseline,
+ * baseline metric is missing or regressed more than 5% vs the
+ * checked-in baseline,
  * when compaction-on fails to beat compaction-off on both p99 latency
  * and storage wire bytes, or when the re-striped layout shows no
  * hot-colocated chunk in EXPLAIN.
  *
  * Usage:
  *   bench_ingest_compact [--quick] [--out=PATH] [--check=BASELINE]
- *                        [--tolerance=0.05]
  */
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "benchutil/gate.h"
 #include "benchutil/harness.h"
 #include "format/writer.h"
 #include "query/parser.h"
@@ -43,6 +42,9 @@
 using namespace fusion;
 
 namespace {
+
+/** Every gated number is simulated, so the gate allows 5% drift. */
+constexpr double kTolerance = 0.05;
 
 constexpr const char *kHotSql =
     "SELECT l_extendedprice FROM lineitem WHERE l_quantity > 30";
@@ -168,100 +170,17 @@ runCell(bool compaction_enabled, size_t base_rows, size_t appends,
     return cell;
 }
 
-void
-writeJson(const std::string &path, bool quick,
-          const std::vector<std::pair<std::string, double>> &metrics)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ingest_compact\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (size_t i = 0; i < metrics.size(); ++i)
-        std::fprintf(f, "    \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                     metrics[i].second,
-                     i + 1 < metrics.size() ? "," : "");
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-}
-
-/** Minimal parser for the flat {"metrics": {"name": number}} schema
- *  this binary writes (same shape as bench_kernels). */
-std::map<std::string, double>
-readBaselineMetrics(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-
-    std::map<std::string, double> metrics;
-    size_t obj = text.find("\"metrics\"");
-    if (obj == std::string::npos)
-        return metrics;
-    obj = text.find('{', obj);
-    size_t end_obj = text.find('}', obj);
-    if (obj == std::string::npos || end_obj == std::string::npos)
-        return metrics;
-    size_t cur = obj;
-    while (true) {
-        size_t q0 = text.find('"', cur);
-        if (q0 == std::string::npos || q0 > end_obj)
-            break;
-        size_t q1 = text.find('"', q0 + 1);
-        size_t colon = text.find(':', q1);
-        if (q1 == std::string::npos || colon == std::string::npos ||
-            colon > end_obj)
-            break;
-        char *end = nullptr;
-        double v = std::strtod(text.c_str() + colon + 1, &end);
-        if (end == text.c_str() + colon + 1)
-            break;
-        metrics[text.substr(q0 + 1, q1 - q0 - 1)] = v;
-        cur = static_cast<size_t>(end - text.c_str());
-    }
-    return metrics;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     benchutil::obsInit(argc, argv);
-    bool quick = false;
-    std::string out_path = "BENCH_ingest_compact.json";
-    std::string baseline_path;
-    double tolerance = 0.05;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--check=", 0) == 0)
-            baseline_path = arg.substr(8);
-        else if (arg.rfind("--tolerance=", 0) == 0)
-            tolerance = std::atof(arg.c_str() + 12);
-        else if (arg.rfind("--trace-out=", 0) == 0 ||
-                 arg.rfind("--metrics-out=", 0) == 0 ||
-                 arg.rfind("--timeseries-out=", 0) == 0)
-            continue; // consumed by obsInit
-        else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            return 2;
-        }
-    }
+    benchutil::GateFlags flags;
+    flags.out = "BENCH_ingest_compact.json";
+    if (!benchutil::parseGateFlags(argc, argv, flags))
+        return 2;
+    const bool quick = flags.quick;
 
     benchutil::banner("ingest-compact",
                       "Append stream vs queries, compaction on/off");
@@ -311,7 +230,7 @@ main(int argc, char **argv)
                 "chunk(s) in EXPLAIN\n",
                 wire_ratio, p99_ratio, scan_ratio, on.explainColocated);
 
-    std::vector<std::pair<std::string, double>> metrics;
+    benchutil::Metrics metrics;
     metrics.emplace_back("wire_ratio", wire_ratio);
     metrics.emplace_back("p99_ratio", p99_ratio);
     metrics.emplace_back("delta_scan_ratio", scan_ratio);
@@ -319,10 +238,10 @@ main(int argc, char **argv)
                          static_cast<double>(on.compactionRuns));
     metrics.emplace_back("hot_colocated_chunks",
                          static_cast<double>(on.hotColocated));
-    writeJson(out_path, quick, metrics);
-    std::printf("wrote %s\n", out_path.c_str());
-
-    int failures = 0;
+    int failures =
+        benchutil::writeAndCheck(flags, "ingest_compact",
+                                 {{"quick", quick ? "true" : "false"}},
+                                 metrics, kTolerance);
     // Acceptance: compaction must pay for itself on this workload —
     // lower tail latency AND fewer storage wire bytes than letting the
     // log grow, with the heat-driven re-stripe visible to the planner.
@@ -355,22 +274,6 @@ main(int argc, char **argv)
         ++failures;
     }
 
-    if (!baseline_path.empty()) {
-        auto baseline = readBaselineMetrics(baseline_path);
-        std::map<std::string, double> current(metrics.begin(),
-                                              metrics.end());
-        for (const auto &[name, want] : baseline) {
-            auto it = current.find(name);
-            if (it == current.end())
-                continue;
-            double floor = want * (1.0 - tolerance);
-            bool ok = it->second >= floor;
-            std::printf("  check %-24s %10.4f >= %10.4f %s\n",
-                        name.c_str(), it->second, floor,
-                        ok ? "ok" : "REGRESSED");
-            failures += ok ? 0 : 1;
-        }
-    }
     if (failures > 0) {
         std::fprintf(stderr, "%d ingest-compact check(s) failed\n",
                      failures);

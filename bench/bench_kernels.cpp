@@ -14,19 +14,17 @@
  *
  * Usage:
  *   bench_kernels [--quick] [--out=PATH] [--check=BASELINE]
- *                 [--tolerance=0.2]
  *
  * --quick shortens each timing window (CI smoke mode). --check loads a
- * baseline JSON (same schema) and exits nonzero when any metric present
- * in both files regressed by more than --tolerance (default 20%).
+ * baseline JSON (same schema) and exits nonzero when any baseline
+ * metric is missing or regressed by more than kTolerance.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "benchutil/gate.h"
+#include "benchutil/harness.h"
 #include "codec/bitpack.h"
 #include "codec/rle.h"
 #include "codec/snappy.h"
@@ -46,6 +44,9 @@
 using namespace fusion;
 
 namespace {
+
+/** Kernel throughput is host-timed, so the gate allows 20% drift. */
+constexpr double kTolerance = 0.2;
 
 double
 now()
@@ -97,100 +98,18 @@ randomBytes(size_t len, uint64_t seed)
     return out;
 }
 
-void
-writeJson(const std::string &path, const std::string &simd_level,
-          size_t threads, bool quick,
-          const std::vector<std::pair<std::string, double>> &metrics)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"kernels\",\n");
-    std::fprintf(f, "  \"simd_level\": \"%s\",\n", simd_level.c_str());
-    std::fprintf(f, "  \"threads\": %zu,\n", threads);
-    std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (size_t i = 0; i < metrics.size(); ++i)
-        std::fprintf(f, "    \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                     metrics[i].second,
-                     i + 1 < metrics.size() ? "," : "");
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-}
-
-/** Minimal parser for the flat {"metrics": {"name": number}} schema
- *  this binary writes — enough for baseline comparison, no deps. */
-std::map<std::string, double>
-readBaselineMetrics(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-
-    std::map<std::string, double> metrics;
-    size_t obj = text.find("\"metrics\"");
-    if (obj == std::string::npos)
-        return metrics;
-    obj = text.find('{', obj);
-    size_t end_obj = text.find('}', obj);
-    if (obj == std::string::npos || end_obj == std::string::npos)
-        return metrics;
-    size_t cur = obj;
-    while (true) {
-        size_t q0 = text.find('"', cur);
-        if (q0 == std::string::npos || q0 > end_obj)
-            break;
-        size_t q1 = text.find('"', q0 + 1);
-        size_t colon = text.find(':', q1);
-        if (q1 == std::string::npos || colon == std::string::npos ||
-            colon > end_obj)
-            break;
-        char *end = nullptr;
-        double v = std::strtod(text.c_str() + colon + 1, &end);
-        if (end == text.c_str() + colon + 1)
-            break;
-        metrics[text.substr(q0 + 1, q1 - q0 - 1)] = v;
-        cur = static_cast<size_t>(end - text.c_str());
-    }
-    return metrics;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string out_path = "BENCH_kernels.json";
-    std::string baseline_path;
-    double tolerance = 0.2;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--check=", 0) == 0)
-            baseline_path = arg.substr(8);
-        else if (arg.rfind("--tolerance=", 0) == 0)
-            tolerance = std::atof(arg.c_str() + 12);
-        else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            return 2;
-        }
-    }
-    const double window = quick ? 0.05 : 0.4;
-    std::vector<std::pair<std::string, double>> metrics;
+    benchutil::obsInit(argc, argv);
+    benchutil::GateFlags flags;
+    flags.out = "BENCH_kernels.json";
+    if (!benchutil::parseGateFlags(argc, argv, flags))
+        return 2;
+    const double window = flags.quick ? 0.05 : 0.4;
+    benchutil::Metrics metrics;
     auto add = [&metrics](const std::string &name, double v) {
         std::printf("  %-32s %12.3f\n", name.c_str(), v);
         metrics.emplace_back(name, v);
@@ -198,7 +117,8 @@ main(int argc, char **argv)
 
     std::printf("== bench_kernels (simd=%s, threads=%zu%s) ==\n",
                 ec::simdLevelName(ec::Gf256::bestSimdLevel()),
-                ThreadPool::shared().threadCount(), quick ? ", quick" : "");
+                ThreadPool::shared().threadCount(),
+                flags.quick ? ", quick" : "");
 
     // ---- GF(256) multiply-accumulate ----
     const size_t kLen = 1 << 20;
@@ -463,37 +383,14 @@ main(int argc, char **argv)
             asm volatile("" : : "r"(&out) : "memory");
         }) / 1e3);
 
-    writeJson(out_path,
-              ec::simdLevelName(ec::Gf256::bestSimdLevel()),
-              ThreadPool::shared().threadCount(), quick, metrics);
-    std::printf("wrote %s\n", out_path.c_str());
-
-    if (!baseline_path.empty()) {
-        auto baseline = readBaselineMetrics(baseline_path);
-        std::map<std::string, double> current(metrics.begin(),
-                                              metrics.end());
-        int failures = 0;
-        for (const auto &[name, want] : baseline) {
-            auto it = current.find(name);
-            if (it == current.end())
-                continue;
-            double floor = want * (1.0 - tolerance);
-            bool ok = it->second >= floor;
-            std::printf("  check %-30s %10.3f >= %10.3f %s\n",
-                        name.c_str(), it->second, floor,
-                        ok ? "ok" : "REGRESSED");
-            failures += ok ? 0 : 1;
-        }
-        if (failures > 0) {
-            std::fprintf(stderr,
-                         "%d kernel metric(s) regressed more than %.0f%% "
-                         "vs %s\n",
-                         failures, tolerance * 100.0,
-                         baseline_path.c_str());
-            return 1;
-        }
-        std::printf("all kernel metrics within %.0f%% of baseline\n",
-                    tolerance * 100.0);
-    }
-    return 0;
+    const std::string level = ec::simdLevelName(ec::Gf256::bestSimdLevel());
+    return benchutil::writeAndCheck(
+               flags, "kernels",
+               {{"simd_level", "\"" + level + "\""},
+                {"threads",
+                 std::to_string(ThreadPool::shared().threadCount())},
+                {"quick", flags.quick ? "true" : "false"}},
+               metrics, kTolerance) > 0
+               ? 1
+               : 0;
 }

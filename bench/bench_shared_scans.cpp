@@ -28,24 +28,22 @@
  * Everything runs in simulation, so every number is deterministic and
  * the JSON output can be gated byte-for-byte-stable in CI. Writes
  * BENCH_shared_scans.json (or BENCH_shared_scans_openloop.json) and,
- * with --check, exits nonzero when any metric regressed more than
- * --tolerance vs the checked-in baseline or when an acceptance bound
- * fails.
+ * with --check, exits nonzero when any baseline metric is missing or
+ * regressed more than 5% vs the checked-in baseline or when an
+ * acceptance bound fails.
  *
  * Usage:
  *   bench_shared_scans [--quick] [--open-loop] [--out=PATH]
- *                      [--check=BASELINE] [--tolerance=0.05]
+ *                      [--check=BASELINE]
  */
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "benchutil/gate.h"
 #include "benchutil/harness.h"
 #include "common/random.h"
 #include "sched/scheduler.h"
@@ -57,6 +55,9 @@
 using namespace fusion;
 
 namespace {
+
+/** Every gated number is simulated, so the gate allows 5% drift. */
+constexpr double kTolerance = 0.05;
 
 struct Rig {
     std::unique_ptr<sim::Cluster> cluster;
@@ -370,137 +371,21 @@ runOpenLoopSweep(bool quick,
     return failures;
 }
 
-void
-writeJson(const std::string &path, const char *bench, bool quick,
-          const std::vector<std::pair<std::string, double>> &metrics)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
-    std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (size_t i = 0; i < metrics.size(); ++i)
-        std::fprintf(f, "    \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                     metrics[i].second,
-                     i + 1 < metrics.size() ? "," : "");
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-}
-
-/** Minimal parser for the flat {"metrics": {"name": number}} schema
- *  this binary writes (same shape as bench_kernels). */
-std::map<std::string, double>
-readBaselineMetrics(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        std::exit(2);
-    }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-
-    std::map<std::string, double> metrics;
-    size_t obj = text.find("\"metrics\"");
-    if (obj == std::string::npos)
-        return metrics;
-    obj = text.find('{', obj);
-    size_t end_obj = text.find('}', obj);
-    if (obj == std::string::npos || end_obj == std::string::npos)
-        return metrics;
-    size_t cur = obj;
-    while (true) {
-        size_t q0 = text.find('"', cur);
-        if (q0 == std::string::npos || q0 > end_obj)
-            break;
-        size_t q1 = text.find('"', q0 + 1);
-        size_t colon = text.find(':', q1);
-        if (q1 == std::string::npos || colon == std::string::npos ||
-            colon > end_obj)
-            break;
-        char *end = nullptr;
-        double v = std::strtod(text.c_str() + colon + 1, &end);
-        if (end == text.c_str() + colon + 1)
-            break;
-        metrics[text.substr(q0 + 1, q1 - q0 - 1)] = v;
-        cur = static_cast<size_t>(end - text.c_str());
-    }
-    return metrics;
-}
-
-/** --check: every baseline metric must satisfy
- *  current >= baseline * (1 - tolerance). Returns failure count. */
-int
-checkBaseline(const std::string &baseline_path, double tolerance,
-              const std::vector<std::pair<std::string, double>> &metrics)
-{
-    auto baseline = readBaselineMetrics(baseline_path);
-    std::map<std::string, double> current(metrics.begin(), metrics.end());
-    int failures = 0;
-    for (const auto &[name, want] : baseline) {
-        auto it = current.find(name);
-        if (it == current.end())
-            continue;
-        double floor = want * (1.0 - tolerance);
-        bool ok = it->second >= floor;
-        std::printf("  check %-28s %10.4f >= %10.4f %s\n", name.c_str(),
-                    it->second, floor, ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-    if (failures > 0)
-        std::fprintf(stderr,
-                     "%d shared-scan metric(s) regressed more than "
-                     "%.0f%% vs %s\n",
-                     failures, tolerance * 100.0, baseline_path.c_str());
-    else
-        std::printf("all shared-scan metrics within %.0f%% of baseline\n",
-                    tolerance * 100.0);
-    return failures;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     benchutil::obsInit(argc, argv);
-    bool quick = false;
+    benchutil::GateFlags flags;
     bool open_loop = false;
-    std::string out_path;
-    std::string baseline_path;
-    double tolerance = 0.05;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg == "--open-loop")
-            open_loop = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--check=", 0) == 0)
-            baseline_path = arg.substr(8);
-        else if (arg.rfind("--tolerance=", 0) == 0)
-            tolerance = std::atof(arg.c_str() + 12);
-        else if (arg.rfind("--trace-out=", 0) == 0 ||
-                 arg.rfind("--metrics-out=", 0) == 0 ||
-                 arg.rfind("--timeseries-out=", 0) == 0)
-            continue; // consumed by obsInit
-        else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            return 2;
-        }
-    }
-
-    if (out_path.empty())
-        out_path = open_loop ? "BENCH_shared_scans_openloop.json"
-                             : "BENCH_shared_scans.json";
+    if (!benchutil::parseGateFlags(argc, argv, flags,
+                                   {{"--open-loop", &open_loop}}))
+        return 2;
+    if (flags.out.empty())
+        flags.out = open_loop ? "BENCH_shared_scans_openloop.json"
+                              : "BENCH_shared_scans.json";
+    const bool quick = flags.quick;
 
     std::vector<std::pair<std::string, double>> metrics;
     int acceptance_failures = 0;
@@ -509,10 +394,9 @@ main(int argc, char **argv)
                           "Open-loop Poisson clients through the "
                           "admission window vs serial baseline");
         acceptance_failures = runOpenLoopSweep(quick, metrics);
-        writeJson(out_path, "shared_scans_openloop", quick, metrics);
-        std::printf("wrote %s\n", out_path.c_str());
-        if (!baseline_path.empty() &&
-            checkBaseline(baseline_path, tolerance, metrics) > 0)
+        if (benchutil::writeAndCheck(flags, "shared_scans_openloop",
+                                     {{"quick", quick ? "true" : "false"}},
+                                     metrics, kTolerance) > 0)
             return 1;
         if (acceptance_failures > 0) {
             std::fprintf(stderr,
@@ -614,11 +498,9 @@ main(int argc, char **argv)
     }
     table.print();
 
-    writeJson(out_path, "shared_scans", quick, metrics);
-    std::printf("wrote %s\n", out_path.c_str());
-
-    if (!baseline_path.empty() &&
-        checkBaseline(baseline_path, tolerance, metrics) > 0)
+    if (benchutil::writeAndCheck(flags, "shared_scans",
+                                 {{"quick", quick ? "true" : "false"}},
+                                 metrics, kTolerance) > 0)
         return 1;
     if (acceptance_failures > 0) {
         std::fprintf(stderr,

@@ -7,8 +7,12 @@
  * the stores or the simulator breaks the reproduction, this fails in
  * ctest rather than silently skewing the bench outputs.
  */
+#include <cstdio>
+#include <map>
+
 #include <gtest/gtest.h>
 
+#include "benchutil/gate.h"
 #include "benchutil/harness.h"
 #include "benchutil/rigs.h"
 #include "workload/lineitem.h"
@@ -144,6 +148,56 @@ TEST(FmtTest, FormatsLikePrintf)
 {
     EXPECT_EQ(fmt("%.2f%%", 12.345), "12.35%");
     EXPECT_EQ(fmt("%d-%s", 7, "x"), "7-x");
+}
+
+/** checkMetrics with its per-metric lines captured. */
+int
+check(const std::map<std::string, double> &baseline, const Metrics &current)
+{
+    testing::internal::CaptureStdout();
+    int failures = checkMetrics(baseline, current, 0.05);
+    testing::internal::GetCapturedStdout();
+    return failures;
+}
+
+TEST(GateTest, MissingBaselineMetricFails)
+{
+    EXPECT_EQ(check({{"a_ratio", 2.0}, {"b_ratio", 3.0}}, {{"a_ratio", 2.0}}),
+              1);
+}
+
+TEST(GateTest, ValueBelowFloorFails)
+{
+    EXPECT_EQ(check({{"a_ratio", 10.0}}, {{"a_ratio", 9.49}}), 1);
+}
+
+TEST(GateTest, ValueAtFloorPasses)
+{
+    const double floor = 10.0 * (1.0 - 0.05);
+    EXPECT_EQ(check({{"a_ratio", 10.0}}, {{"a_ratio", floor}}), 0);
+    // Metrics the baseline does not name are not gated.
+    EXPECT_EQ(check({{"a_ratio", 10.0}}, {{"a_ratio", 11.0}, {"new", 0.0}}),
+              0);
+}
+
+TEST(GateTest, WriterOutputRoundTripsThroughReader)
+{
+    const std::string path = testing::TempDir() + "gate_roundtrip.json";
+    const Metrics written = {
+        {"c4_o50_wire_ratio", 1.14159}, {"hit_rate", 0.25}, {"zero", 0.0},
+        {"big", 123456}, {"negative", -2.5}};
+    writeBenchJson(path, "roundtrip",
+                   {{"quick", "true"}, {"simd_level", "\"avx2\""}},
+                   written);
+    std::map<std::string, double> read;
+    ASSERT_TRUE(readBenchMetrics(path, read));
+    const std::map<std::string, double> expected(written.begin(),
+                                                 written.end());
+    EXPECT_EQ(read, expected);
+    std::remove(path.c_str());
+
+    std::map<std::string, double> none;
+    EXPECT_FALSE(readBenchMetrics(path, none));
 }
 
 } // namespace
