@@ -59,6 +59,14 @@ class BitUnpacker
     uint64_t bitPos_ = 0;
 };
 
+/**
+ * Random access: value `i` of `bits`, values packed at `width` bits as
+ * BitPacker writes them. The caller has checked that the value's bits
+ * lie inside the slice (an RLE literal run's slice holds all of its
+ * values); no load reads past it.
+ */
+uint64_t unpackAt(Slice bits, int width, size_t i);
+
 } // namespace fusion::codec
 
 #endif // FUSION_CODEC_BITPACK_H

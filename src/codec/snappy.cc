@@ -180,8 +180,10 @@ snappyCompress(Slice input)
     if (n == 0)
         return out;
 
-    std::vector<uint32_t> table(kHashTableSize, 0);
-    // Positions in `table` are stored +1 so 0 means "empty".
+    // One table per thread, empty (all zero) between calls. Positions
+    // are stored +1 so 0 means "empty".
+    thread_local std::vector<uint32_t> slots(kHashTableSize, 0);
+    uint32_t *const table = slots.data();
     size_t pos = 0;
     size_t literal_start = 0;
 
@@ -216,6 +218,16 @@ snappyCompress(Slice input)
     }
     if (literal_start < n)
         emitLiteral(out, base + literal_start, n - literal_start);
+    // Empty the table for the next call. Every slot written hashes a
+    // position in [0, n - kMinMatchLen], so a small input clears just
+    // those instead of zeroing 64 KiB, which would cost more than
+    // compressing a 750-byte bitmap.
+    if (n < kHashTableSize / 4) {
+        for (size_t p = 0; p + kMinMatchLen <= n; ++p)
+            table[hash32(load32(base + p))] = 0;
+    } else {
+        std::fill(slots.begin(), slots.end(), 0);
+    }
     return out;
 }
 

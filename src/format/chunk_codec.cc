@@ -1,8 +1,10 @@
 #include "chunk_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "codec/bitpack.h"
@@ -114,17 +116,12 @@ plainDecodeStrings(Slice page, size_t count, std::vector<std::string> &out)
     if (page.size() / 4 < count)
         return Status::corruption("plain page truncated");
     reserveMore(out, count);
-    const uint8_t *p = page.data();
-    const uint8_t *const end = p + page.size();
+    PlainStringReader strings(page);
+    std::string_view value;
     for (size_t i = 0; i < count; ++i) {
-        if (end - p < 4)
+        if (!strings.next(value))
             return Status::corruption("plain page truncated");
-        const uint32_t len = loadUnaligned<uint32_t>(p);
-        p += 4;
-        if (static_cast<size_t>(end - p) < len)
-            return Status::corruption("plain page truncated");
-        out.emplace_back(reinterpret_cast<const char *>(p), len);
-        p += len;
+        out.emplace_back(value);
     }
     return Status::ok();
 }
@@ -238,6 +235,137 @@ gatherDictionaryPage(const ColumnData &dict, Slice rle, int width,
                                     out.sink<std::string>());
     }
     return Status::invalidArgument("unknown physical type");
+}
+
+// Bytes each plain value occupies at least: its width, or a string's
+// u32 length.
+size_t
+plainValueBytes(PhysicalType type)
+{
+    switch (type) {
+      case PhysicalType::kInt32:
+      case PhysicalType::kString: return 4;
+      case PhysicalType::kInt64:
+      case PhysicalType::kDouble: return 8;
+    }
+    return 1;
+}
+
+// Calls fn(w, bits) for each word w of a row selection that overlaps
+// rows [begin, end), with the bits outside the range cleared.
+template <typename Fn>
+void
+forEachWord(std::span<const uint64_t> rows, uint64_t begin, uint64_t end,
+            const Fn &fn)
+{
+    if (begin >= end)
+        return;
+    const uint64_t first = begin / 64, last = (end - 1) / 64;
+    for (uint64_t w = first; w <= last; ++w) {
+        uint64_t bits = rows[w];
+        if (w == first)
+            bits &= ~uint64_t{0} << (begin % 64);
+        if (w == last && end % 64 != 0)
+            bits &= (uint64_t{1} << (end % 64)) - 1;
+        fn(w, bits);
+    }
+}
+
+size_t
+countSetBits(std::span<const uint64_t> rows, uint64_t begin, uint64_t end)
+{
+    size_t n = 0;
+    forEachWord(rows, begin, end, [&n](uint64_t, uint64_t bits) {
+        n += static_cast<size_t>(std::popcount(bits));
+    });
+    return n;
+}
+
+// Calls fn(row) for each selected row in [begin, end), in order.
+template <typename Fn>
+void
+forEachSetBit(std::span<const uint64_t> rows, uint64_t begin, uint64_t end,
+              const Fn &fn)
+{
+    forEachWord(rows, begin, end, [&fn](uint64_t w, uint64_t bits) {
+        for (; bits != 0; bits &= bits - 1)
+            fn(w * 64 + static_cast<uint64_t>(std::countr_zero(bits)));
+    });
+}
+
+// Selected rows of one dictionary page. Every run header is walked (so
+// a truncated stream fails); an RLE run checks and copies its value once
+// per selected row, a bit-packed run unpacks only its selected codes.
+template <typename T>
+Status
+selectDictionaryPage(const std::vector<T> &dict, const ChunkView::Page &page,
+                     int width, std::span<const uint64_t> rows,
+                     std::vector<T> &out)
+{
+    codec::RleReader runs(page.body, width, page.count);
+    codec::RleRun run;
+    bool out_of_range = false;
+    for (uint64_t row = page.firstRow; runs.remaining() > 0;
+         row += run.count) {
+        FUSION_RETURN_IF_ERROR(runs.next(run));
+        const uint64_t end = row + run.count;
+        if (!run.packed) {
+            const size_t n = countSetBits(rows, row, end);
+            if (n == 0)
+                continue;
+            if (run.value >= dict.size())
+                out_of_range = true;
+            else
+                out.insert(out.end(), n, dict[run.value]);
+        } else {
+            forEachSetBit(rows, row, end, [&](uint64_t i) {
+                const uint64_t code =
+                    codec::unpackAt(run.bits, width, i - row);
+                if (code >= dict.size())
+                    out_of_range = true;
+                else
+                    out.push_back(dict[code]);
+            });
+        }
+        if (out_of_range)
+            return Status::corruption("dictionary code out of range");
+    }
+    return Status::ok();
+}
+
+// Selected rows of one plain page. Fixed-width values are read by
+// offset (openChunk checked the page's length); strings are walked, the
+// whole page, so a truncated one fails wherever its selection lies.
+template <typename T>
+Status
+selectPlainPage(const ChunkView::Page &page, std::span<const uint64_t> rows,
+                std::vector<T> &out)
+{
+    const uint64_t end = page.firstRow + page.count;
+    if constexpr (!std::is_same_v<T, std::string>) {
+        const uint8_t *p = page.body.data();
+        forEachSetBit(rows, page.firstRow, end, [&](uint64_t i) {
+            out.push_back(
+                loadUnaligned<T>(p + (i - page.firstRow) * sizeof(T)));
+        });
+        return Status::ok();
+    } else {
+        PlainStringReader strings(page.body);
+        uint64_t at = page.firstRow; // the row `strings` reads next
+        bool truncated = false;
+        std::string_view value;
+        forEachSetBit(rows, page.firstRow, end, [&](uint64_t i) {
+            for (; !truncated && at <= i; ++at)
+                truncated = !strings.next(value);
+            if (!truncated)
+                out.emplace_back(value);
+        });
+        for (; !truncated && at < end; ++at)
+            truncated = !strings.next(value);
+        if (truncated)
+            return Status::corruption("plain page truncated");
+        return Status::ok();
+    }
 }
 
 // Dictionary-encodes a column into (dict column, codes). Returns false
@@ -366,8 +494,8 @@ encodeChunk(const ColumnData &column, const ChunkEncodeOptions &options)
     return result;
 }
 
-Result<ColumnData>
-decodeChunk(Slice bytes, PhysicalType type)
+Result<ChunkView>
+openChunk(Slice bytes, PhysicalType type)
 {
     BinaryReader reader(bytes);
 
@@ -376,7 +504,9 @@ decodeChunk(Slice bytes, PhysicalType type)
         return enc_tag.status();
     if (enc_tag.value() > 1)
         return Status::corruption("bad chunk encoding tag");
-    auto encoding = static_cast<ChunkEncoding>(enc_tag.value());
+    ChunkView view;
+    view.type = type;
+    view.encoding = static_cast<ChunkEncoding>(enc_tag.value());
 
     auto comp_tag = reader.getU8();
     if (!comp_tag.isOk())
@@ -393,10 +523,10 @@ decodeChunk(Slice bytes, PhysicalType type)
     constexpr uint64_t kMaxChunkValues = 1ULL << 28;
     if (count.value() == 0 || count.value() > kMaxChunkValues)
         return Status::corruption("implausible chunk value count");
+    view.valueCount = count.value();
 
-    ColumnData dict(type);
-    uint8_t width = 0;
-    if (encoding == ChunkEncoding::kDictionary) {
+    view.dictionary = ColumnData(type);
+    if (view.encoding == ChunkEncoding::kDictionary) {
         auto dict_count = reader.getVarU64();
         if (!dict_count.isOk())
             return dict_count.status();
@@ -409,29 +539,28 @@ decodeChunk(Slice bytes, PhysicalType type)
         auto dict_plain = codec::decompress(compression, dict_page.value());
         if (!dict_plain.isOk())
             return dict_plain.status();
-        FUSION_RETURN_IF_ERROR(plainDecodeInto(dict_plain.value(), type,
-                                               dict_count.value(), dict));
+        FUSION_RETURN_IF_ERROR(plainDecodeInto(
+            dict_plain.value(), type, dict_count.value(), view.dictionary));
 
         auto width_tag = reader.getU8();
         if (!width_tag.isOk())
             return width_tag.status();
         if (width_tag.value() > 32)
             return Status::corruption("bad dictionary code width");
-        width = width_tag.value();
+        view.codeWidth = width_tag.value();
     }
 
-    ColumnData out(type);
     auto num_pages = reader.getVarU64();
     if (!num_pages.isOk())
         return num_pages.status();
-    uint64_t decoded = 0;
+    uint64_t opened = 0;
     for (uint64_t p = 0; p < num_pages.value(); ++p) {
         auto page_count = reader.getVarU64();
         if (!page_count.isOk())
             return page_count.status();
-        // Every kernel below sizes its output from this count, so it is
+        // Every kernel sizes its output from this count, so it is
         // bounded by the chunk's (already bounded) count first.
-        if (page_count.value() > count.value() - decoded)
+        if (page_count.value() > count.value() - opened)
             return Status::corruption("page value count exceeds chunk");
         auto page = reader.getLengthPrefixed();
         if (!page.isOk())
@@ -439,16 +568,72 @@ decodeChunk(Slice bytes, PhysicalType type)
         auto body = codec::decompress(compression, page.value());
         if (!body.isOk())
             return body.status();
-        FUSION_RETURN_IF_ERROR(
-            encoding == ChunkEncoding::kDictionary
-                ? gatherDictionaryPage(dict, body.value(), width,
-                                       page_count.value(), out)
-                : plainDecodeInto(body.value(), type, page_count.value(),
-                                  out));
-        decoded += page_count.value();
+        if (view.encoding == ChunkEncoding::kPlain &&
+            body.value().size() / plainValueBytes(type) < page_count.value())
+            return Status::corruption("plain page truncated");
+        view.pages.push_back(
+            {opened, page_count.value(), std::move(body.value())});
+        opened += page_count.value();
     }
-    if (decoded != count.value())
+    if (opened != count.value())
         return Status::corruption("chunk value count mismatch");
+    return view;
+}
+
+Result<ColumnData>
+decodeChunk(const ChunkView &chunk)
+{
+    ColumnData out(chunk.type);
+    for (const ChunkView::Page &page : chunk.pages)
+        FUSION_RETURN_IF_ERROR(
+            chunk.encoding == ChunkEncoding::kDictionary
+                ? gatherDictionaryPage(chunk.dictionary, page.body,
+                                       chunk.codeWidth, page.count, out)
+                : plainDecodeInto(page.body, chunk.type, page.count, out));
+    return out;
+}
+
+Result<ColumnData>
+decodeChunk(Slice bytes, PhysicalType type)
+{
+    auto chunk = openChunk(bytes, type);
+    if (!chunk.isOk())
+        return chunk.status();
+    return decodeChunk(chunk.value());
+}
+
+Result<ColumnData>
+decodeSelected(const ChunkView &chunk, std::span<const uint64_t> rows)
+{
+    if (rows.size() != (chunk.valueCount + 63) / 64)
+        return Status::invalidArgument("selection does not cover the chunk");
+    ColumnData out(chunk.type);
+    auto run = [&](const auto &dict) -> Status {
+        using T = std::decay_t<decltype(dict[0])>;
+        std::vector<T> &values = out.sink<T>();
+        values.reserve(countSetBits(rows, 0, chunk.valueCount));
+        for (const ChunkView::Page &page : chunk.pages) {
+            const uint64_t end = page.firstRow + page.count;
+            if (countSetBits(rows, page.firstRow, end) == 0)
+                continue;
+            if (chunk.encoding == ChunkEncoding::kDictionary)
+                FUSION_RETURN_IF_ERROR(selectDictionaryPage(
+                    dict, page, chunk.codeWidth, rows, values));
+            else
+                FUSION_RETURN_IF_ERROR(selectPlainPage(page, rows, values));
+        }
+        return Status::ok();
+    };
+    const ColumnData &dict = chunk.dictionary;
+    Status status = Status::ok();
+    switch (chunk.type) {
+      case PhysicalType::kInt32: status = run(dict.int32s()); break;
+      case PhysicalType::kInt64: status = run(dict.int64s()); break;
+      case PhysicalType::kDouble: status = run(dict.doubles()); break;
+      case PhysicalType::kString: status = run(dict.strings()); break;
+    }
+    if (!status.isOk())
+        return status;
     return out;
 }
 

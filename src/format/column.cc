@@ -69,16 +69,17 @@ ColumnData::valueAt(size_t i) const
 }
 
 uint64_t
-ColumnData::plainEncodedSize() const
+ColumnData::plainEncodedSize(size_t begin, size_t end) const
 {
+    FUSION_CHECK(begin <= end && end <= size());
     switch (type()) {
-      case PhysicalType::kInt32: return int32s().size() * 4;
-      case PhysicalType::kInt64: return int64s().size() * 8;
-      case PhysicalType::kDouble: return doubles().size() * 8;
+      case PhysicalType::kInt32: return (end - begin) * 4;
+      case PhysicalType::kInt64:
+      case PhysicalType::kDouble: return (end - begin) * 8;
       case PhysicalType::kString: {
         uint64_t total = 0;
-        for (const auto &s : strings())
-            total += 4 + s.size(); // u32 length prefix + bytes
+        for (size_t i = begin; i < end; ++i)
+            total += 4 + strings()[i].size(); // u32 length prefix + bytes
         return total;
       }
     }

@@ -85,7 +85,10 @@ class ColumnData
 
     /** Bytes this column occupies in plain encoding: exactly
      *  plainEncode(*this).size(). */
-    uint64_t plainEncodedSize() const;
+    uint64_t plainEncodedSize() const { return plainEncodedSize(0, size()); }
+
+    /** Plain-encoded bytes of rows [begin, end). */
+    uint64_t plainEncodedSize(size_t begin, size_t end) const;
 
     bool operator==(const ColumnData &o) const { return data_ == o.data_; }
 

@@ -1,6 +1,7 @@
 #include "bitmap.h"
 
 #include <bit>
+#include <cstring>
 
 #include "codec/snappy.h"
 #include "common/serde.h"
@@ -14,6 +15,14 @@ Bitmap::Bitmap(size_t size, bool initial) : size_(size)
         // Mask tail bits beyond `size` so count() stays exact.
         words_.back() &= (1ULL << (size % 64)) - 1;
     }
+}
+
+Bitmap::Bitmap(size_t size, std::vector<uint64_t> words)
+    : size_(size), words_(std::move(words))
+{
+    FUSION_CHECK(words_.size() == (size + 63) / 64);
+    if (size % 64 != 0)
+        words_.back() &= (1ULL << (size % 64)) - 1;
 }
 
 size_t
@@ -45,10 +54,12 @@ Bytes
 Bitmap::toBytes() const
 {
     Bytes out;
-    BinaryWriter writer(out);
-    writer.putVarU64(size_);
-    for (uint64_t word : words_)
-        writer.putU64(word);
+    BinaryWriter(out).putVarU64(size_);
+    // Little-endian words (common/bytes.h asserts the host order).
+    const size_t at = out.size();
+    out.resize(at + words_.size() * 8);
+    if (!words_.empty())
+        std::memcpy(out.data() + at, words_.data(), words_.size() * 8);
     return out;
 }
 

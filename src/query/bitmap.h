@@ -9,6 +9,7 @@
 #define FUSION_QUERY_BITMAP_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -22,6 +23,10 @@ class Bitmap
   public:
     Bitmap() = default;
     explicit Bitmap(size_t size, bool initial = false);
+
+    /** Adopts ceil(size / 64) words (bit i of word w is row w*64+i);
+     *  bits beyond `size` are cleared. */
+    Bitmap(size_t size, std::vector<uint64_t> words);
 
     size_t size() const { return size_; }
 
@@ -55,6 +60,9 @@ class Bitmap
     {
         return words_[w];
     }
+
+    /** Every word, for kernels that take a row selection as words. */
+    std::span<const uint64_t> words() const { return words_; }
 
     /**
      * Overwrites word `w`. Bits beyond size() in the last word are

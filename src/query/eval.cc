@@ -1,7 +1,12 @@
 #include "eval.h"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
+#include <string_view>
+
+#include "codec/bitpack.h"
+#include "codec/rle.h"
 
 namespace fusion::query {
 
@@ -54,62 +59,208 @@ rowVerdict(const T &v, const L &lit)
 }
 
 /**
- * Word-wise typed scan: evaluates 64 rows into one bitmap word with no
- * per-row branch (the compiler auto-vectorizes the comparison loop for
- * the numeric instantiations), then writes the word in one store.
+ * Appends row verdicts in row order, up to 64 at a time, into bitmap
+ * words: the sink every predicate kernel writes through, so a page or a
+ * code run need not start on a word boundary.
  */
-template <CompareOp Op, typename T, typename L>
-void
-scanKernel(const std::vector<T> &values, const L &literal, Bitmap &out)
+class VerdictWriter
 {
-    const size_t n = values.size();
-    const T *v = values.data();
-    size_t i = 0, w = 0;
-    for (; i + 64 <= n; i += 64, ++w) {
+  public:
+    explicit VerdictWriter(size_t rows)
+        : size_(rows), words_((rows + 63) / 64, 0)
+    {
+    }
+
+    /** Appends the low `n` (<= 64) bits of `bits`; the rest are 0. */
+    void
+    push(uint64_t bits, size_t n)
+    {
+        if (n == 0)
+            return;
+        FUSION_CHECK(pos_ + n <= size_);
+        const size_t shift = pos_ & 63;
+        words_[pos_ >> 6] |= bits << shift;
+        if (shift != 0 && shift + n > 64)
+            words_[(pos_ >> 6) + 1] |= bits >> (64 - shift);
+        pos_ += n;
+    }
+
+    /** Appends `n` copies of one verdict, a word at a time. */
+    void
+    fill(bool verdict, size_t n)
+    {
+        if (!verdict) {
+            FUSION_CHECK(pos_ + n <= size_);
+            pos_ += n;
+            return;
+        }
+        while (n > 0) {
+            const size_t k = std::min<size_t>(64 - (pos_ & 63), n);
+            push(k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1, k);
+            n -= k;
+        }
+    }
+
+    Bitmap
+    finish()
+    {
+        FUSION_CHECK(pos_ == size_);
+        return Bitmap(size_, std::move(words_));
+    }
+
+  private:
+    size_t size_;
+    size_t pos_ = 0;
+    std::vector<uint64_t> words_;
+};
+
+/**
+ * Word-wise typed scan over rows at(0) .. at(n - 1), called in that
+ * order: evaluates 64 rows into one bitmap word with no per-row branch
+ * (the compiler auto-vectorizes the comparison loop for the numeric
+ * instantiations), then writes the word in one store.
+ */
+template <CompareOp Op, typename At, typename L>
+void
+scanKernel(size_t n, At at, const L &literal, VerdictWriter &out)
+{
+    size_t i = 0;
+    for (; i + 64 <= n; i += 64) {
         uint64_t bits = 0;
         for (size_t b = 0; b < 64; ++b)
-            bits |= static_cast<uint64_t>(
-                        rowVerdict<Op>(v[i + b], literal))
+            bits |= static_cast<uint64_t>(rowVerdict<Op>(at(i + b), literal))
                     << b;
-        out.setWord(w, bits);
+        out.push(bits, 64);
     }
     if (i < n) {
         uint64_t bits = 0;
         for (size_t b = 0; i + b < n; ++b)
-            bits |= static_cast<uint64_t>(
-                        rowVerdict<Op>(v[i + b], literal))
+            bits |= static_cast<uint64_t>(rowVerdict<Op>(at(i + b), literal))
                     << b;
-        out.setWord(w, bits);
+        out.push(bits, n - i);
     }
 }
 
 // Hoists the op out of the row loop: one kernel instantiation per
-// CompareOp x column type.
-template <typename T, typename L>
+// CompareOp x row source.
+template <typename At, typename L>
 void
-scanTyped(const std::vector<T> &values, CompareOp op, const L &literal,
-          Bitmap &out)
+scanTyped(size_t n, At at, CompareOp op, const L &literal,
+          VerdictWriter &out)
 {
     switch (op) {
       case CompareOp::kLt:
-        scanKernel<CompareOp::kLt>(values, literal, out);
+        scanKernel<CompareOp::kLt>(n, at, literal, out);
         break;
       case CompareOp::kLe:
-        scanKernel<CompareOp::kLe>(values, literal, out);
+        scanKernel<CompareOp::kLe>(n, at, literal, out);
         break;
       case CompareOp::kGt:
-        scanKernel<CompareOp::kGt>(values, literal, out);
+        scanKernel<CompareOp::kGt>(n, at, literal, out);
         break;
       case CompareOp::kGe:
-        scanKernel<CompareOp::kGe>(values, literal, out);
+        scanKernel<CompareOp::kGe>(n, at, literal, out);
         break;
       case CompareOp::kEq:
-        scanKernel<CompareOp::kEq>(values, literal, out);
+        scanKernel<CompareOp::kEq>(n, at, literal, out);
         break;
       case CompareOp::kNe:
-        scanKernel<CompareOp::kNe>(values, literal, out);
+        scanKernel<CompareOp::kNe>(n, at, literal, out);
         break;
     }
+}
+
+// Scans a typed value vector.
+template <typename T, typename L>
+void
+scanValues(const std::vector<T> &values, CompareOp op, const L &literal,
+           VerdictWriter &out)
+{
+    const T *v = values.data();
+    scanTyped(
+        values.size(), [v](size_t i) -> const T & { return v[i]; }, op,
+        literal, out);
+}
+
+// Scans one plain page of an opened chunk in place: fixed-width values
+// by offset (openChunk checked the length), strings by a pointer walk
+// that reports a truncated page through `truncated`.
+template <typename T, typename L>
+void
+scanPlainPage(const format::ChunkView::Page &page, CompareOp op,
+              const L &literal, VerdictWriter &out, bool &truncated)
+{
+    if constexpr (!std::is_same_v<T, std::string>) {
+        const uint8_t *p = page.body.data();
+        scanTyped(
+            page.count,
+            [p](size_t i) { return loadUnaligned<T>(p + i * sizeof(T)); },
+            op, literal, out);
+    } else {
+        format::PlainStringReader strings(page.body);
+        scanTyped(
+            page.count,
+            [&](size_t) {
+                std::string_view value;
+                if (!truncated && !strings.next(value))
+                    truncated = true;
+                return value;
+            },
+            op, literal, out);
+    }
+}
+
+// Code-form evaluation of a dictionary chunk: the predicate runs once
+// per dictionary entry (evalPredicate over the dictionary) and each
+// code run takes its entry's verdict, an RLE run in one fill, a
+// bit-packed run 64 codes per word. Every code is range-checked.
+Result<Bitmap>
+evalDictionaryChunk(const format::ChunkView &chunk, CompareOp op,
+                    const Value &literal)
+{
+    auto entries = evalPredicate(chunk.dictionary, op, literal);
+    if (!entries.isOk())
+        return entries.status();
+    // One byte per entry: a code's verdict is one load, no shift.
+    const uint64_t dict_size = chunk.dictionary.size();
+    std::vector<uint8_t> verdicts(dict_size);
+    for (uint64_t e = 0; e < dict_size; ++e)
+        verdicts[e] = entries.value().test(e) ? 1 : 0;
+    const auto out_of_range = [] {
+        return Status::corruption("dictionary code out of range");
+    };
+
+    VerdictWriter out(chunk.valueCount);
+    uint64_t codes[64];
+    for (const format::ChunkView::Page &page : chunk.pages) {
+        codec::RleReader runs(page.body, chunk.codeWidth, page.count);
+        codec::RleRun run;
+        while (runs.remaining() > 0) {
+            FUSION_RETURN_IF_ERROR(runs.next(run));
+            if (!run.packed) {
+                if (run.value >= dict_size)
+                    return out_of_range();
+                out.fill(verdicts[run.value] != 0, run.count);
+                continue;
+            }
+            codec::BitUnpacker unpacker(run.bits, chunk.codeWidth);
+            for (size_t done = 0; done < run.count;) {
+                const size_t n = std::min<size_t>(64, run.count - done);
+                FUSION_RETURN_IF_ERROR(unpacker.getMany(n, codes));
+                uint64_t top = 0;
+                for (size_t b = 0; b < n; ++b)
+                    top = std::max(top, codes[b]);
+                if (top >= dict_size)
+                    return out_of_range();
+                uint64_t bits = 0;
+                for (size_t b = 0; b < n; ++b)
+                    bits |= uint64_t{verdicts[codes[b]]} << b;
+                out.push(bits, n);
+                done += n;
+            }
+        }
+    }
+    return out.finish();
 }
 
 bool
@@ -135,22 +286,61 @@ evalPredicate(const ColumnData &column, CompareOp op, const Value &literal)
         return Status::invalidArgument(
             "predicate literal type incompatible with column type");
 
-    Bitmap out(column.size());
+    VerdictWriter out(column.size());
     switch (column.type()) {
       case PhysicalType::kInt32:
-        scanTyped(column.int32s(), op, literal.numeric(), out);
+        scanValues(column.int32s(), op, literal.numeric(), out);
         break;
       case PhysicalType::kInt64:
-        scanTyped(column.int64s(), op, literal.numeric(), out);
+        scanValues(column.int64s(), op, literal.numeric(), out);
         break;
       case PhysicalType::kDouble:
-        scanTyped(column.doubles(), op, literal.numeric(), out);
+        scanValues(column.doubles(), op, literal.numeric(), out);
         break;
       case PhysicalType::kString:
-        scanTyped(column.strings(), op, literal.asString(), out);
+        scanValues(column.strings(), op, literal.asString(), out);
         break;
     }
-    return out;
+    return out.finish();
+}
+
+Result<Bitmap>
+evalPredicate(const format::ChunkView &chunk, CompareOp op,
+              const Value &literal)
+{
+    if (!literalCompatible(chunk.type, literal.type()))
+        return Status::invalidArgument(
+            "predicate literal type incompatible with column type");
+    if (chunk.encoding == format::ChunkEncoding::kDictionary)
+        return evalDictionaryChunk(chunk, op, literal);
+
+    VerdictWriter out(chunk.valueCount);
+    bool truncated = false;
+    const std::string_view text = chunk.type == PhysicalType::kString
+                                      ? std::string_view(literal.asString())
+                                      : std::string_view();
+    for (const format::ChunkView::Page &page : chunk.pages) {
+        switch (chunk.type) {
+          case PhysicalType::kInt32:
+            scanPlainPage<int32_t>(page, op, literal.numeric(), out,
+                                   truncated);
+            break;
+          case PhysicalType::kInt64:
+            scanPlainPage<int64_t>(page, op, literal.numeric(), out,
+                                   truncated);
+            break;
+          case PhysicalType::kDouble:
+            scanPlainPage<double>(page, op, literal.numeric(), out,
+                                  truncated);
+            break;
+          case PhysicalType::kString:
+            scanPlainPage<std::string>(page, op, text, out, truncated);
+            break;
+        }
+        if (truncated)
+            return Status::corruption("plain page truncated");
+    }
+    return out.finish();
 }
 
 Result<Bitmap>

@@ -1,15 +1,17 @@
 /**
  * @file
- * Predicate evaluation over decoded column chunks, zone-map pruning
- * over chunk statistics, row selection and aggregate computation — the
- * data-plane primitives both stores execute (on a storage node when
- * pushed down, on the coordinator otherwise).
+ * Predicate evaluation over decoded column chunks and, without
+ * decoding, over opened ones; zone-map pruning over chunk statistics,
+ * row selection and aggregate computation — the data-plane primitives
+ * both stores execute (on a storage node when pushed down, on the
+ * coordinator otherwise).
  */
 #ifndef FUSION_QUERY_EVAL_H
 #define FUSION_QUERY_EVAL_H
 
 #include "ast.h"
 #include "bitmap.h"
+#include "format/chunk_codec.h"
 #include "format/column.h"
 #include "format/metadata.h"
 
@@ -24,6 +26,17 @@ bool compareValues(const format::Value &lhs, CompareOp op,
  * kInvalidArgument if the literal type is incompatible with the column.
  */
 Result<Bitmap> evalPredicate(const format::ColumnData &column, CompareOp op,
+                             const format::Value &literal);
+
+/**
+ * evalPredicate over an opened chunk, without decoding it: a dictionary
+ * chunk evaluates the predicate once per dictionary entry and expands
+ * the verdicts through its RLE/bit-packed codes; a plain chunk scans its
+ * pages in place. Equal to evalPredicate over format::decodeChunk's
+ * output; kCorruption for a bad code stream, an out-of-range code or a
+ * truncated string page.
+ */
+Result<Bitmap> evalPredicate(const format::ChunkView &chunk, CompareOp op,
                              const format::Value &literal);
 
 /**

@@ -513,22 +513,23 @@ DeltaLifecycle::mergeDeltaIntoPlan(const ObjectManifest &manifest,
         auto reader = format::FileReader::open(Slice(*replica.value().block));
         if (!reader.isOk())
             return reader.status();
-        std::map<std::pair<size_t, size_t>, format::ColumnData> decoded;
+        std::map<std::pair<size_t, size_t>, format::ChunkView> opened;
         ObjectStore::ChunkSource source{
             [&](const std::vector<std::pair<size_t, size_t>> &rg_cols) {
                 for (const auto &key : rg_cols) {
-                    if (decoded.count(key) > 0)
+                    if (opened.count(key) > 0)
                         continue;
-                    auto chunk =
-                        reader.value().readChunk(key.first, key.second);
+                    auto chunk = format::openChunk(
+                        reader.value().chunkBytes(key.first, key.second),
+                        segment.meta.schema.column(key.second).physical);
                     if (!chunk.isOk())
                         return chunk.status();
-                    decoded.emplace(key, std::move(chunk.value()));
+                    opened.emplace(key, std::move(chunk.value()));
                 }
                 return Status::ok();
             },
-            [&](size_t rg, size_t col) -> const format::ColumnData & {
-                return decoded.at({rg, col});
+            [&](size_t rg, size_t col) -> const format::ChunkView & {
+                return opened.at({rg, col});
             }};
         auto plane =
             ObjectStore::runDataPlane(segment.meta, resolved, source);

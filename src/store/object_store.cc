@@ -444,7 +444,7 @@ ObjectStore::resolveQuery(const query::Query &q,
 }
 
 Status
-ObjectStore::prefetchDecodedChunks(
+ObjectStore::prefetchChunks(
     const ObjectManifest &manifest,
     const std::vector<std::pair<size_t, size_t>> &rg_cols)
 {
@@ -479,22 +479,22 @@ ObjectStore::prefetchDecodedChunks(
         raw[i] = std::move(bytes.value());
     }
 
-    // Phase 2 (parallel): decompress + decode, pure per-slot CPU work.
-    std::vector<Result<format::ColumnData>> decoded(
-        todo.size(), Result<format::ColumnData>(format::ColumnData()));
+    // Phase 2 (parallel): decompress, pure per-slot CPU work.
+    std::vector<Result<format::ChunkView>> opened(
+        todo.size(), Result<format::ChunkView>(format::ChunkView()));
     ThreadPool::shared().parallelFor(0, todo.size(), [&](size_t i) {
-        decoded[i] = format::decodeChunk(
+        opened[i] = format::openChunk(
             Slice(raw[i]),
             manifest.fileMeta.schema.column(todo[i].second).physical);
     });
 
     // Phase 3 (serial): surface errors in index order, fill the memo.
     for (size_t i = 0; i < todo.size(); ++i) {
-        if (!decoded[i].isOk())
-            return decoded[i].status();
+        if (!opened[i].isOk())
+            return opened[i].status();
         memo.chunks.emplace(
             manifest.chunkIdFor(todo[i].first, todo[i].second),
-            std::move(decoded[i].value()));
+            std::move(opened[i].value()));
     }
     return Status::ok();
 }
@@ -512,20 +512,63 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     }
     cachePlanMiss_.add(1);
 
-    // Chunks decode into the memo (fetch serial, decode on the shared
-    // ThreadPool; see prefetchDecodedChunks); the kernel only reads it.
+    // Chunks open into the memo (fetch serial, decompress on the shared
+    // ThreadPool; see prefetchChunks); the kernel only reads it.
     ChunkSource source{
         [&](const std::vector<std::pair<size_t, size_t>> &rg_cols) {
-            return prefetchDecodedChunks(manifest, rg_cols);
+            return prefetchChunks(manifest, rg_cols);
         },
-        [&](size_t rg, size_t col) -> const format::ColumnData & {
+        [&](size_t rg, size_t col) -> const format::ChunkView & {
             return memo.chunks.at(manifest.chunkIdFor(rg, col));
         }};
     auto plane = runDataPlane(manifest.fileMeta, q, source);
     if (!plane.isOk())
         return plane.status();
+    sizeReplies(manifest.fileMeta, q, plane.value());
     return &memo.planes.emplace(std::move(plane_key), std::move(plane.value()))
                 .first->second;
+}
+
+void
+ObjectStore::sizeReplies(const format::FileMetadata &meta,
+                         const query::Query &q, DataPlane &plane)
+{
+    const std::vector<std::string> filter_cols = q.filterColumns();
+    std::vector<std::vector<uint64_t>> column_wire(meta.numRowGroups());
+    plane.rowGroupBitmapWireSize.assign(meta.numRowGroups(), 0);
+    ThreadPool::shared().parallelFor(0, meta.numRowGroups(), [&](size_t rg) {
+        const auto &bitmap = plane.rowGroupBitmaps[rg];
+        if (!bitmap.has_value())
+            return;
+        plane.rowGroupBitmapWireSize[rg] = bitmap->compressedWireSize();
+        if (filter_cols.size() == 1)
+            column_wire[rg].push_back(plane.rowGroupBitmapWireSize[rg]);
+        for (const query::Bitmap &column : plane.filterColumnBitmaps[rg])
+            column_wire[rg].push_back(column.compressedWireSize());
+    });
+    for (size_t rg = 0; rg < meta.numRowGroups(); ++rg)
+        for (size_t c = 0; c < column_wire[rg].size(); ++c)
+            plane.filterReplyWireSize[{
+                rg, meta.schema.columnIndex(filter_cols[c]).value()}] =
+                column_wire[rg][c];
+
+    for (const auto &name : q.projectionColumns()) {
+        size_t i = 0;
+        while (q.projections[i].column != name)
+            ++i;
+        const format::ColumnData &values = plane.result.columns[i].values;
+        const size_t col = meta.schema.columnIndex(name).value();
+        uint64_t at = 0;
+        for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
+            const auto &bitmap = plane.rowGroupBitmaps[rg];
+            const size_t n = bitmap.has_value() ? bitmap->count() : 0;
+            if (n == 0)
+                continue;
+            plane.projectionReplySize[{rg, col}] =
+                values.plainEncodedSize(at, at + n);
+            at += n;
+        }
+    }
 }
 
 Result<ObjectStore::DataPlane>
@@ -564,6 +607,13 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
     std::vector<size_t> pred_cols(nf);
     for (size_t p = 0; p < nf; ++p)
         pred_cols[p] = schema.columnIndex(q.filters[p].column).value();
+    // A chunk holds its row group's rows unless the file is corrupt.
+    auto rows_match = [&meta](size_t rg, const format::ChunkView &chunk) {
+        return chunk.valueCount == meta.rowGroups[rg].numRows
+                   ? Status::ok()
+                   : Status::corruption(
+                         "chunk row count differs from its row group's");
+    };
     // Slot s * nf + p holds predicate p over row group scanned[s].
     std::vector<Result<query::Bitmap>> pred_bitmaps(
         scanned.size() * nf, Result<query::Bitmap>(query::Bitmap()));
@@ -571,35 +621,43 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
         0, pred_bitmaps.size(), [&](size_t i) {
             const size_t rg = scanned[i / nf], p = i % nf;
             const query::Predicate &pred = q.filters[p];
-            pred_bitmaps[i] = query::evalPredicate(
-                source.chunk(rg, pred_cols[p]), pred.op, pred.literal);
+            const format::ChunkView &chunk = source.chunk(rg, pred_cols[p]);
+            Status rows = rows_match(rg, chunk);
+            if (rows.isOk())
+                pred_bitmaps[i] =
+                    query::evalPredicate(chunk, pred.op, pred.literal);
+            else
+                pred_bitmaps[i] = rows;
         });
     for (const auto &bitmap : pred_bitmaps)
         if (!bitmap.isOk())
             return bitmap.status();
 
     // ---- filter stage (real) ----
+    // Predicates AND per column (a storage node ANDs every predicate on
+    // its chunk and returns one bitmap), columns per row group.
+    const std::vector<std::string> filter_cols = q.filterColumns();
     uint64_t matched = 0;
     plane.rowGroupBitmaps.resize(meta.numRowGroups());
-    plane.rowGroupBitmapWireSize.assign(meta.numRowGroups(), 0);
+    plane.filterColumnBitmaps.resize(meta.numRowGroups());
     for (size_t s = 0; s < scanned.size(); ++s) {
         const size_t rg = scanned[s];
-        query::Bitmap bitmap(meta.rowGroups[rg].numRows, true);
-        // Predicates grouped per column: a storage node ANDs all
-        // predicates on its chunk and returns one bitmap.
-        for (const auto &col_name : q.filterColumns()) {
-            size_t col = schema.columnIndex(col_name).value();
-            query::Bitmap col_bitmap(meta.rowGroups[rg].numRows, true);
+        const size_t rows = meta.rowGroups[rg].numRows;
+        std::vector<query::Bitmap> columns;
+        for (const auto &col_name : filter_cols) {
+            query::Bitmap col_bitmap(rows, true);
             for (size_t p = 0; p < nf; ++p)
                 if (q.filters[p].column == col_name)
                     col_bitmap.intersect(pred_bitmaps[s * nf + p].value());
-            plane.filterReplyWireSize[{rg, col}] =
-                col_bitmap.compressedWireSize();
-            bitmap.intersect(col_bitmap);
+            columns.push_back(std::move(col_bitmap));
         }
+        query::Bitmap bitmap(rows, true);
+        for (const query::Bitmap &column : columns)
+            bitmap.intersect(column);
+        if (columns.size() > 1)
+            plane.filterColumnBitmaps[rg] = std::move(columns);
         matched += bitmap.count();
-        plane.result.rowsScanned += meta.rowGroups[rg].numRows;
-        plane.rowGroupBitmapWireSize[rg] = bitmap.compressedWireSize();
+        plane.result.rowsScanned += rows;
         plane.rowGroupBitmaps[rg] = std::move(bitmap);
     }
     plane.result.rowsMatched = matched;
@@ -610,8 +668,9 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
                   static_cast<double>(meta.numRows);
 
     // ---- projection stage (real) ----
-    // Load all projection chunks the selection touches before the
-    // (ordered) materialization loop below.
+    // Load every projection chunk the selection touches, then decode
+    // only the selected rows of each (row group, column) concurrently;
+    // the values concatenate per column in row-group order.
     std::vector<std::pair<size_t, size_t>> projection_chunks;
     for (const auto &name : q.projectionColumns()) {
         size_t col = schema.columnIndex(name).value();
@@ -623,19 +682,34 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
     }
     FUSION_RETURN_IF_ERROR(source.load(projection_chunks));
 
+    std::vector<Result<format::ColumnData>> selected(
+        projection_chunks.size(),
+        Result<format::ColumnData>(format::ColumnData()));
+    ThreadPool::shared().parallelFor(
+        0, projection_chunks.size(), [&](size_t i) {
+            const auto [rg, col] = projection_chunks[i];
+            const format::ChunkView &chunk = source.chunk(rg, col);
+            Status rows = rows_match(rg, chunk);
+            if (rows.isOk())
+                selected[i] = format::decodeSelected(
+                    chunk, plane.rowGroupBitmaps[rg]->words());
+            else
+                selected[i] = rows;
+        });
     std::map<std::string, format::ColumnData> projected;
+    size_t next = 0;
     for (const auto &name : q.projectionColumns()) {
         size_t col = schema.columnIndex(name).value();
         format::ColumnData values(schema.column(col).physical);
-        for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-            const auto &bitmap = plane.rowGroupBitmaps[rg];
-            if (!bitmap.has_value() || bitmap->count() == 0)
-                continue;
-            format::ColumnData selected =
-                query::selectRows(source.chunk(rg, col), *bitmap);
-            plane.projectionReplySize[{rg, col}] =
-                selected.plainEncodedSize();
-            values.append(selected);
+        for (; next < projection_chunks.size() &&
+               projection_chunks[next].second == col;
+             ++next) {
+            if (!selected[next].isOk())
+                return selected[next].status();
+            if (values.empty())
+                values = std::move(selected[next].value());
+            else
+                values.append(selected[next].value());
         }
         projected.emplace(name, std::move(values));
     }
@@ -781,11 +855,11 @@ ObjectStore::planQueryForBatch(const query::Query &q)
         }
         col.values = format::ColumnData();
     }
-    FUSION_RETURN_IF_ERROR(encodeClientReply(*m.value(), *shared));
+    encodeClientReply(*m.value(), *shared);
     return shared;
 }
 
-Status
+void
 ObjectStore::encodeClientReply(const ObjectManifest &manifest,
                                QueryPlan &plan) const
 {
@@ -805,7 +879,7 @@ ObjectStore::encodeClientReply(const ObjectManifest &manifest,
     };
 
     std::vector<obs::ExplainReply> lines;
-    for (query::ProjectionResult &col : plan.outcome.result.columns) {
+    for (const query::ProjectionResult &col : plan.outcome.result.columns) {
         obs::ExplainReply line{col.name, "aggregate", 16, 16};
         if (!col.isAggregate) {
             line.encoding = "plain";
@@ -813,13 +887,10 @@ ObjectStore::encodeClientReply(const ObjectManifest &manifest,
             line.bytes = line.plainBytes;
             // encodeChunk refuses empty input; zero rows ship 0 bytes.
             if (!col.values.empty() && dictionary_column(col.name)) {
+                // The values ship losslessly, so only the byte count
+                // of their encoding is needed.
                 format::EncodedChunk wire = format::encodeChunk(
                     col.values, format::ChunkEncodeOptions{});
-                auto decoded =
-                    format::decodeChunk(wire.bytes, col.values.type());
-                if (!decoded.isOk())
-                    return decoded.status();
-                col.values = std::move(decoded.value());
                 line.encoding =
                     wire.encoding == format::ChunkEncoding::kDictionary
                         ? "encoded:dictionary"
@@ -843,7 +914,6 @@ ObjectStore::encodeClientReply(const ObjectManifest &manifest,
         amended->replies = std::move(lines);
         plan.outcome.explain = std::move(amended);
     }
-    return Status::ok();
 }
 
 void

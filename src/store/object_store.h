@@ -17,7 +17,7 @@
  * Query execution is hybrid: results are computed on real bytes (and
  * are identical across stores — asserted in tests), while elapsed time
  * is charged to simulated disk/NIC/CPU resources from the byte counts
- * the plan moves. One per-object memo (decoded chunks and data planes)
+ * the plan moves. One per-object memo (opened chunks and data planes)
  * skips repeated identical work so thousand-query experiments run in
  * seconds; it never changes a result or a simulated charge.
  */
@@ -32,6 +32,7 @@
 #include "cache/chunk_cache.h"
 #include "delta_lifecycle.h"
 #include "ec/reed_solomon.h"
+#include "format/chunk_codec.h"
 #include "obs/observability.h"
 #include "query/bitmap.h"
 #include "query/parser.h"
@@ -248,14 +249,14 @@ class ObjectStore
     // ---- data plane (real bytes, memoized) ----
 
     /**
-     * Fills the object's memo with the decoded form of a set of (row
-     * group, column) chunks, counting one cache.decode.hit or miss per
-     * distinct chunk: raw bytes are fetched serially (degraded reads and
-     * fault.* counters stay deterministic), then decompress/decode fans
-     * out on the shared ThreadPool. Results are bit-identical to serial
-     * decoding for any FUSION_THREADS value.
+     * Fills the object's memo with the opened (decompressed, not
+     * decoded) form of a set of (row group, column) chunks, counting one
+     * cache.decode.hit or miss per distinct chunk: raw bytes are fetched
+     * serially (degraded reads and fault.* counters stay deterministic),
+     * then decompression fans out on the shared ThreadPool. Results are
+     * bit-identical to serial decoding for any FUSION_THREADS value.
      */
-    Status prefetchDecodedChunks(
+    Status prefetchChunks(
         const ObjectManifest &manifest,
         const std::vector<std::pair<size_t, size_t>> &rg_cols);
 
@@ -267,7 +268,16 @@ class ObjectStore
         /** Final ANDed bitmap per row group; empty optional = skipped
          *  via zone maps (no scan needed). */
         std::vector<std::optional<query::Bitmap>> rowGroupBitmaps;
+        /** Per row group of a query filtering on two or more columns,
+         *  each filter column's ANDed bitmap (q.filterColumns() order);
+         *  empty otherwise, where the one column's bitmap is
+         *  rowGroupBitmaps[rg] itself. */
+        std::vector<std::vector<query::Bitmap>> filterColumnBitmaps;
         double selectivity = 0.0; // matched / total rows
+
+        // Reply sizes, filled by sizeReplies for the base only: a delta
+        // segment's pushdown replies are never shipped.
+
         /** Plain-encoded selected-values size per (row group, column)
          *  actually projected — the pushdown reply payload. */
         std::map<std::pair<size_t, size_t>, uint64_t> projectionReplySize;
@@ -282,36 +292,50 @@ class ObjectStore
     };
 
     /**
-     * Where the data-plane kernel reads decoded chunks: `load` makes
-     * every listed (row group, column) chunk available and `chunk`
-     * returns one it loaded. The kernel calls `chunk` from parallel
-     * loops, so it must only read.
+     * Where the data-plane kernel reads opened chunks: `load` makes
+     * every listed (row group, column) chunk available, each
+     * decompressed once, and `chunk` returns one it loaded. The kernel
+     * calls `chunk` from parallel loops, so it must only read.
      */
     struct ChunkSource {
         std::function<Status(const std::vector<std::pair<size_t, size_t>> &)>
             load;
-        std::function<const format::ColumnData &(size_t, size_t)> chunk;
+        std::function<const format::ChunkView &(size_t, size_t)> chunk;
     };
 
     /**
-     * The data-plane kernel over one fpax file, memo-free: zone-map
-     * pruning, per-(row group, predicate) bitmaps ANDed per column and
-     * per row group, then row selection for every projected column.
-     * Loads the zone-map survivors' filter chunks, then the projected
-     * chunks of the row groups with a match. The base runs it over its
-     * memo (executeDataPlane), a delta segment over its replica.
+     * The data-plane kernel over one fpax file, memo-free and
+     * late-materialised: zone-map pruning, per-(row group, predicate)
+     * bitmaps evaluated on the opened chunks (dictionary chunks on their
+     * codes) and ANDed per column and per row group, then a decode of
+     * only the selected rows of every projected chunk. Loads the
+     * zone-map survivors' filter chunks, then the projected chunks of
+     * the row groups with a match. Leaves the reply sizes empty. The
+     * base runs it over its memo (executeDataPlane), a delta segment
+     * over its replica.
      */
     static Result<DataPlane> runDataPlane(const format::FileMetadata &meta,
                                           const query::Query &q,
                                           const ChunkSource &source);
 
     /**
-     * runDataPlane over the object's base, memoized per (object,
-     * query). The pointer stays valid until the object's memo entry is
-     * dropped (dropCaches, delete, overwrite or compaction swap).
+     * runDataPlane over the object's base plus its reply sizes,
+     * memoized per (object, query). The pointer stays valid until the
+     * object's memo entry is dropped (dropCaches, delete, overwrite or
+     * compaction swap).
      */
     Result<const DataPlane *> executeDataPlane(const ObjectManifest &manifest,
                                                const query::Query &q);
+
+    /**
+     * Fills a base data plane's reply sizes. One parallel row-group pass
+     * Snappy-sizes every bitmap; a row group filtered on one column
+     * replies with its own bitmap, so that bitmap is compressed once for
+     * both sizes. A projection reply is its row group's slice of the
+     * column's result values, plain-encoded.
+     */
+    static void sizeReplies(const format::FileMetadata &meta,
+                            const query::Query &q, DataPlane &plane);
 
     /** Expands `SELECT *` and validates column names against a schema. */
     Result<query::Query> resolveQuery(const query::Query &q,
@@ -378,13 +402,15 @@ class ObjectStore
      * Builds the client reply of a planned query, after the delta
      * merge. A non-aggregate column whose every footer chunk is
      * dictionary-encoded ships as format::encodeChunk bytes (default
-     * options) and its result becomes the decodeChunk of those bytes;
-     * any other column ships plain, an aggregate as 16 bytes and a
-     * zero-row column as 0 bytes. Sets the plan's clientReply* fields
-     * and the EXPLAIN report's per-column reply lines.
+     * options). That encoding gives the values back (a double zero
+     * returns with the sign of the column's first zero, which compares
+     * equal), so the result keeps them as they are. Any other column
+     * ships plain, an aggregate as 16 bytes and a zero-row column as 0
+     * bytes. Sets the plan's clientReply* fields and the EXPLAIN
+     * report's per-column reply lines.
      */
-    Status encodeClientReply(const ObjectManifest &manifest,
-                             QueryPlan &plan) const;
+    void encodeClientReply(const ObjectManifest &manifest,
+                           QueryPlan &plan) const;
 
     /** Builds and writes an object's stripes WITHOUT touching
      *  manifests_ — shared by put() (generation 0) and compaction
@@ -432,8 +458,8 @@ class ObjectStore
      * overwrite, compaction swap); dropCaches() clears them all.
      */
     struct ObjectMemo {
-        /** Chunk id -> decoded column. */
-        std::map<uint32_t, format::ColumnData> chunks;
+        /** Chunk id -> opened (decompressed) chunk. */
+        std::map<uint32_t, format::ChunkView> chunks;
         /** Resolved query string -> its data plane. */
         std::map<std::string, DataPlane> planes;
     };

@@ -4,10 +4,13 @@
  * split-table / SIMD GF(256) multiply-accumulate, tiled+pooled
  * Reed-Solomon, the word-wise typed predicate/select/aggregate kernels,
  * and the word-at-a-time decode kernels (Snappy, bit-unpacking, RLE,
- * plain pages, dictionary gather) — must be bit-identical to their
- * simple reference implementations on every input, including unaligned
- * lengths, zero coefficients, NaN doubles, and empty columns; on
- * corrupt input a decode kernel rejects exactly when its reference does.
+ * plain pages, dictionary gather) and the late-materialisation kernels
+ * (code-form predicate evaluation, selective decode) — must be
+ * bit-identical to their simple reference implementations on every
+ * input, including unaligned lengths, zero coefficients, NaN doubles,
+ * and empty columns; on corrupt input a decode kernel rejects exactly
+ * when its reference does (a selective decode reads only the codes it
+ * selects, so it rejects a bad code only at a selected row).
  * The thread pool must leave all simulated-time query results and
  * fault.* counters unchanged for any FUSION_THREADS value.
  */
@@ -990,6 +993,334 @@ TEST(ChunkDecodeKernelTest, LineitemAndTaxiChunksMatchOracle)
             ASSERT_TRUE(
                 agree(got, oracle::decodeChunk(Slice(chunk), col.type())));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Late materialisation: code-form predicate evaluation and selective
+// decode over opened chunks vs the full decode they replace. Oracles:
+// evalPredicateReference(decodeChunk(bytes)) and
+// selectRows(decodeChunk(bytes), rows).
+// ---------------------------------------------------------------------
+
+/**
+ * A dictionary chunk built by hand, so its code width can be anything
+ * the format allows (0-32), not just the writer's bitWidthFor(dict - 1).
+ * Pages of `page` codes, RLE/bit-packed by rleEncode, uncompressed.
+ */
+Bytes
+handDictionaryChunk(const ColumnData &dict, const std::vector<uint64_t> &codes,
+                    int width, size_t page)
+{
+    Bytes out;
+    BinaryWriter writer(out);
+    writer.putU8(static_cast<uint8_t>(format::ChunkEncoding::kDictionary));
+    writer.putU8(static_cast<uint8_t>(codec::Compression::kNone));
+    writer.putVarU64(codes.size());
+    writer.putVarU64(dict.size());
+    writer.putLengthPrefixed(format::plainEncode(dict));
+    writer.putU8(static_cast<uint8_t>(width));
+    const size_t pages = (codes.size() + page - 1) / page;
+    writer.putVarU64(pages);
+    for (size_t p = 0; p < pages; ++p) {
+        std::vector<uint64_t> slice(
+            codes.begin() + p * page,
+            codes.begin() + std::min(codes.size(), (p + 1) * page));
+        writer.putVarU64(slice.size());
+        writer.putLengthPrefixed(codec::rleEncode(slice, width));
+    }
+    return out;
+}
+
+/** Codes below `limit` mixing long RLE runs with bit-packed stretches. */
+std::vector<uint64_t>
+mixedCodes(size_t n, uint64_t limit, Rng &rng)
+{
+    std::vector<uint64_t> codes;
+    while (codes.size() < n) {
+        const uint64_t code = rng.next() % limit;
+        const size_t run = rng.chance(0.3) ? rng.pickIndex(40) + 8 : 1;
+        for (size_t i = 0; i < run && codes.size() < n; ++i)
+            codes.push_back(code);
+    }
+    return codes;
+}
+
+/** The selections every kernel is checked under. */
+std::vector<Bitmap>
+selections(size_t rows, Rng &rng)
+{
+    std::vector<Bitmap> out;
+    out.emplace_back(rows, false);
+    out.emplace_back(rows, true);
+    for (double density : {0.014, 0.3}) {
+        Bitmap bits(rows);
+        for (size_t i = 0; i < rows; ++i)
+            if (rng.chance(density))
+                bits.set(i);
+        out.push_back(std::move(bits));
+    }
+    // Word boundaries, the first and the last row.
+    Bitmap edges(rows);
+    for (size_t i : {size_t{0}, size_t{63}, size_t{64}, size_t{127},
+                     size_t{128}, rows - 1})
+        if (i < rows)
+            edges.set(i);
+    out.push_back(std::move(edges));
+    return out;
+}
+
+/** Equal values, bit for bit: NaN matches NaN, -0.0 differs from 0.0. */
+bool
+sameValues(const ColumnData &a, const ColumnData &b)
+{
+    return a.type() == b.type() &&
+           format::plainEncode(a) == format::plainEncode(b);
+}
+
+/** Both late-materialisation kernels agree with their oracles. */
+void
+expectLateKernelsMatch(const Bytes &chunk, PhysicalType type,
+                       const std::vector<Value> &literals, Rng &rng)
+{
+    auto full = format::decodeChunk(Slice(chunk), type);
+    ASSERT_TRUE(full.isOk()) << full.status().toString();
+    auto view = format::openChunk(Slice(chunk), type);
+    ASSERT_TRUE(view.isOk()) << view.status().toString();
+    for (const Bitmap &rows : selections(full.value().size(), rng)) {
+        auto got = format::decodeSelected(view.value(), rows.words());
+        ASSERT_TRUE(got.isOk()) << got.status().toString();
+        ASSERT_TRUE(
+            sameValues(got.value(), query::selectRows(full.value(), rows)))
+            << "selected " << rows.count() << " of " << rows.size();
+    }
+    for (const Value &lit : literals) {
+        for (CompareOp op : kAllOps) {
+            auto got = query::evalPredicate(view.value(), op, lit);
+            auto want = query::evalPredicateReference(full.value(), op, lit);
+            ASSERT_EQ(got.isOk(), want.isOk());
+            if (got.isOk()) {
+                ASSERT_TRUE(got.value() == want.value())
+                    << "op=" << query::compareOpName(op)
+                    << " lit=" << lit.toString();
+            }
+        }
+    }
+}
+
+std::vector<Value>
+literalsFor(PhysicalType type)
+{
+    if (type == PhysicalType::kString)
+        return {Value(std::string()), Value(std::string("aaa5")),
+                Value(std::string("zzz"))};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {Value(int64_t{-1000}), Value(int64_t{0}), Value(0.25),
+            Value(-0.0),           Value(7918.5),     Value(nan)};
+}
+
+TEST(LateMaterialisationTest, EncodedChunksMatchOracles)
+{
+    Rng rng(21);
+    for (PhysicalType type : {PhysicalType::kInt32, PhysicalType::kInt64,
+                              PhysicalType::kDouble, PhysicalType::kString}) {
+        for (size_t distinct : {1, 2, 40, 5000}) {
+            for (bool dictionary : {true, false}) {
+                // Pages of 7 and 1000 split a chunk; 20000 keeps one.
+                for (size_t page : {7, 1000, 20000}) {
+                    ColumnData col = randomColumn(type, 3000, distinct, rng);
+                    format::ChunkEncodeOptions options;
+                    options.pageValueCount = page;
+                    options.enableDictionary = dictionary;
+                    expectLateKernelsMatch(
+                        format::encodeChunk(col, options).bytes, type,
+                        literalsFor(type), rng);
+                }
+            }
+        }
+    }
+}
+
+TEST(LateMaterialisationTest, EveryCodeWidthMatchesOracles)
+{
+    Rng rng(22);
+    for (int width = 0; width <= 32; ++width) {
+        // A dictionary that fills the width up to 6 bits; past that
+        // the codes stay below 64 and the width is only wider.
+        const size_t entries = width < 6 ? size_t{1} << width : 64;
+        for (PhysicalType type : {PhysicalType::kInt32, PhysicalType::kDouble,
+                                  PhysicalType::kString}) {
+            ColumnData dict(type);
+            for (size_t e = 0; e < entries; ++e) {
+                if (type == PhysicalType::kInt32)
+                    dict.append(static_cast<int32_t>(e) - 20);
+                else if (type == PhysicalType::kDouble)
+                    dict.append(0.5 * static_cast<double>(e));
+                else
+                    dict.append(std::to_string(e) + "s");
+            }
+            for (size_t page : {size_t{100}, size_t{1000}}) {
+                Bytes chunk = handDictionaryChunk(
+                    dict, mixedCodes(777, entries, rng), width, page);
+                expectLateKernelsMatch(chunk, type, literalsFor(type), rng);
+            }
+        }
+    }
+}
+
+TEST(LateMaterialisationTest, NanAndSignedZeroDictionaryMatchesReference)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    ColumnData col(PhysicalType::kDouble);
+    Rng rng(23);
+    const double values[] = {nan, -0.0, 0.0, inf, -inf, 0.5, -0.5};
+    for (size_t i = 0; i < 2000; ++i)
+        col.append(values[rng.pickIndex(7)]);
+    for (bool dictionary : {true, false}) {
+        format::ChunkEncodeOptions options;
+        options.enableDictionary = dictionary;
+        options.pageValueCount = 300;
+        Bytes chunk = format::encodeChunk(col, options).bytes;
+        std::vector<Value> literals;
+        for (double lit : {-0.5, 0.0, -0.0, 0.5, inf, -inf, nan})
+            literals.emplace_back(lit);
+        expectLateKernelsMatch(chunk, PhysicalType::kDouble, literals, rng);
+    }
+}
+
+TEST(LateMaterialisationTest, FlippedBytesNeverDisagreeWithTheFullDecode)
+{
+    // Code-form evaluation reads every code and string, so it fails
+    // exactly when the full decode does; a full selection likewise.
+    Rng rng(24);
+    for (PhysicalType type : {PhysicalType::kInt64, PhysicalType::kString}) {
+        for (size_t distinct : {3, 5000}) {
+            ColumnData col = randomColumn(type, 1000, distinct, rng);
+            format::ChunkEncodeOptions options;
+            options.pageValueCount = 300;
+            options.compression = codec::Compression::kNone;
+            Bytes chunk = format::encodeChunk(col, options).bytes;
+            for (int flip = 0; flip < 200; ++flip) {
+                Bytes corrupt = flipOneByte(chunk, rng);
+                auto full = format::decodeChunk(Slice(corrupt), type);
+                auto view = format::openChunk(Slice(corrupt), type);
+                if (!view.isOk()) {
+                    ASSERT_FALSE(full.isOk());
+                    continue;
+                }
+                const Value lit = col.valueAt(0);
+                auto codes = query::evalPredicate(view.value(),
+                                                  CompareOp::kLe, lit);
+                ASSERT_EQ(codes.isOk(), full.isOk());
+                Bitmap all(view.value().valueCount, true);
+                auto selected =
+                    format::decodeSelected(view.value(), all.words());
+                ASSERT_EQ(selected.isOk(), full.isOk());
+                if (!full.isOk())
+                    continue;
+                ASSERT_TRUE(codes.value() ==
+                            query::evalPredicateReference(
+                                full.value(), CompareOp::kLe, lit)
+                                .value());
+                ASSERT_TRUE(selected.value() == full.value());
+                // A sparse selection decodes a subset of what the full
+                // decode accepted: it must agree too.
+                Bitmap some = selections(all.size(), rng)[2];
+                auto part = format::decodeSelected(view.value(), some.words());
+                ASSERT_TRUE(part.isOk());
+                ASSERT_TRUE(part.value() ==
+                            query::selectRows(full.value(), some));
+            }
+        }
+    }
+}
+
+TEST(LateMaterialisationTest, CorruptInputsReturnStatus)
+{
+    Rng rng(25);
+    ColumnData dict(PhysicalType::kInt64);
+    for (int64_t e = 0; e < 10; ++e)
+        dict.append(e * 3);
+    std::vector<uint64_t> codes = mixedCodes(500, 10, rng);
+
+    // An out-of-range code at row 250 (a bit-packed stretch: every
+    // neighbour differs) and at row 400 (inside an RLE run).
+    std::vector<uint64_t> packed_bad = codes;
+    for (size_t i = 240; i < 260; ++i)
+        packed_bad[i] = i % 2;
+    packed_bad[250] = 13;
+    std::vector<uint64_t> rle_bad = codes;
+    for (size_t i = 390; i < 410; ++i)
+        rle_bad[i] = 15;
+    for (const auto &[bad_codes, bad_row] :
+         {std::pair{packed_bad, size_t{250}},
+          std::pair{rle_bad, size_t{400}}}) {
+        Bytes chunk = handDictionaryChunk(dict, bad_codes, 4, 128);
+        auto view = format::openChunk(Slice(chunk), PhysicalType::kInt64);
+        ASSERT_TRUE(view.isOk());
+        EXPECT_EQ(query::evalPredicate(view.value(), CompareOp::kLt,
+                                       Value(int64_t{9}))
+                      .status()
+                      .code(),
+                  StatusCode::kCorruption);
+        Bitmap hit(500);
+        hit.set(bad_row);
+        EXPECT_EQ(format::decodeSelected(view.value(), hit.words())
+                      .status()
+                      .code(),
+                  StatusCode::kCorruption);
+        // Rows clear of the bad code still decode: only selected codes
+        // are read.
+        Bitmap miss(500);
+        miss.set(10);
+        miss.set(499);
+        auto ok = format::decodeSelected(view.value(), miss.words());
+        ASSERT_TRUE(ok.isOk());
+        EXPECT_EQ(ok.value().int64s(),
+                  (std::vector<int64_t>{int64_t(codes[10]) * 3,
+                                        int64_t(codes[499]) * 3}));
+    }
+
+    // Truncated code streams: every cut of the last page's stream.
+    Bytes chunk = handDictionaryChunk(dict, codes, 4, 500);
+    auto whole = format::openChunk(Slice(chunk), PhysicalType::kInt64);
+    ASSERT_TRUE(whole.isOk());
+    for (size_t cut = 1; cut < whole.value().pages[0].body.size(); ++cut) {
+        format::ChunkView view = whole.value();
+        view.pages[0].body.resize(view.pages[0].body.size() - cut);
+        EXPECT_FALSE(
+            query::evalPredicate(view, CompareOp::kLt, Value(int64_t{9}))
+                .isOk());
+        Bitmap last(500);
+        last.set(499);
+        EXPECT_FALSE(format::decodeSelected(view, last.words()).isOk());
+    }
+
+    // Truncated plain pages: a fixed-width one fails to open; a string
+    // page (openChunk checks only its u32 lengths fit) fails wherever the
+    // selection lies, and in code-form evaluation.
+    for (PhysicalType type : {PhysicalType::kInt32, PhysicalType::kString}) {
+        ColumnData col = randomColumn(type, 200, 1'000'000, rng);
+        format::ChunkEncodeOptions options;
+        options.enableDictionary = false;
+        options.compression = codec::Compression::kNone;
+        Bytes plain = format::encodeChunk(col, options).bytes;
+        // The page is the chunk's tail.
+        Bytes short_chunk(plain.begin(), plain.end() - 3);
+        EXPECT_FALSE(format::openChunk(Slice(short_chunk), type).isOk());
+        if (type != PhysicalType::kString)
+            continue;
+        auto view = format::openChunk(Slice(plain), type);
+        ASSERT_TRUE(view.isOk());
+        format::ChunkView cut = view.value();
+        cut.pages[0].body.resize(cut.pages[0].body.size() - 3);
+        Bitmap first(200);
+        first.set(0);
+        EXPECT_FALSE(format::decodeSelected(cut, first.words()).isOk());
+        EXPECT_FALSE(query::evalPredicate(cut, CompareOp::kNe,
+                                          col.valueAt(0))
+                         .isOk());
     }
 }
 
