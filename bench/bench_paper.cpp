@@ -99,6 +99,16 @@ const Figure kFigures[] = {
     {"ablation-faults", "Ablation A6",
      "degraded reads under injected faults (failure-rate sweep)",
      paper::ablationFaults},
+    {"ablation-cache", "Ablation A8",
+     "coordinator hot-chunk cache under Zipf skew", paper::ablationCache},
+    {"ablation-fold", "Ablation A9",
+     "append stream vs queries, folds on/off", paper::ablationFold},
+    {"ablation-window", "Ablation A10",
+     "shared-scan batch vs serial isolated execution",
+     paper::ablationWindow},
+    {"ablation-window-open", "Ablation A11",
+     "open-loop Poisson clients through the admission window vs serial",
+     paper::ablationWindowOpen},
 };
 
 /**

@@ -108,6 +108,13 @@ void ablationBloom(Claims &c);
 void ablationIngest(Claims &c);
 void ablationFaults(Claims &c);
 
+// System ablations (paper_system.cpp): one FusionStore, one mechanism
+// on and off.
+void ablationCache(Claims &c);
+void ablationFold(Claims &c);
+void ablationWindow(Claims &c);
+void ablationWindowOpen(Claims &c);
+
 } // namespace fusion::paper
 
 #endif // FUSION_BENCH_PAPER_H

@@ -6,20 +6,10 @@
 namespace fusion::benchutil {
 
 bool
-parseGateFlags(int argc, char **argv, GateFlags &flags,
-               std::initializer_list<std::pair<const char *, bool *>> switches)
+parseGateFlags(int argc, char **argv, GateFlags &flags)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        bool matched = false;
-        for (const auto &[name, value] : switches) {
-            if (arg == name) {
-                *value = true;
-                matched = true;
-            }
-        }
-        if (matched)
-            continue;
         if (arg == "--quick")
             flags.quick = true;
         else if (arg.rfind("--out=", 0) == 0)
@@ -73,11 +63,12 @@ readBenchMetrics(const std::string &path, std::map<std::string, double> &out)
 
     size_t obj = text.find("\"metrics\"");
     if (obj == std::string::npos)
-        return true;
+        return false;
     obj = text.find('{', obj);
     size_t end_obj = text.find('}', obj);
     if (obj == std::string::npos || end_obj == std::string::npos)
-        return true;
+        return false;
+    size_t read = 0;
     size_t cur = obj;
     while (true) {
         size_t q0 = text.find('"', cur);
@@ -93,9 +84,10 @@ readBenchMetrics(const std::string &path, std::map<std::string, double> &out)
         if (end == text.c_str() + colon + 1)
             break;
         out[text.substr(q0 + 1, q1 - q0 - 1)] = v;
+        ++read;
         cur = static_cast<size_t>(end - text.c_str());
     }
-    return true;
+    return read > 0;
 }
 
 int
@@ -132,7 +124,8 @@ writeAndCheck(const GateFlags &flags, const std::string &bench,
         return 0;
     std::map<std::string, double> baseline;
     if (!readBenchMetrics(flags.baseline, baseline)) {
-        std::fprintf(stderr, "cannot read baseline %s\n",
+        std::fprintf(stderr, "cannot read baseline %s, or it holds no "
+                             "metric\n",
                      flags.baseline.c_str());
         std::exit(2);
     }

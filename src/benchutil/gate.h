@@ -1,16 +1,15 @@
 /**
  * @file
- * Baseline gate shared by the gated bench binaries (bench_kernels,
- * bench_shared_scans, bench_cache_zipf, bench_ingest_compact) and the
- * BENCH_paper.json writer of bench_paper: one flag parser, one flat
- * `{"bench": ..., "metrics": {"name": number}}` JSON writer and
- * reader, and one check of a run's metrics against a checked-in
- * baseline.
+ * Baseline gate of bench_kernels' host-time floors, and the flat
+ * `{"bench": ..., "metrics": {"name": number}}` JSON writer that
+ * bench_paper's BENCH_paper.json shares: one flag parser, one writer
+ * and reader, and one check of a run's metrics against a checked-in
+ * baseline. Simulated numbers are not gated here: they repeat
+ * exactly, so bench_paper checks them as claims in code.
  */
 #ifndef FUSION_BENCHUTIL_GATE_H
 #define FUSION_BENCHUTIL_GATE_H
 
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -21,7 +20,7 @@ namespace fusion::benchutil {
 /** Metrics in emission order. */
 using Metrics = std::vector<std::pair<std::string, double>>;
 
-/** Flags every gated bench takes. */
+/** Flags of a gated bench. */
 struct GateFlags {
     bool quick = false;   // --quick: CI smoke mode
     std::string out;      // --out=PATH: where the JSON goes
@@ -29,14 +28,11 @@ struct GateFlags {
 };
 
 /**
- * Parses --quick, --out=PATH, --check=BASELINE and the boolean
- * `switches` (e.g. {"--open-loop", &open_loop}) into `flags`, skipping
- * the observability flags obsInit consumes. Prints the offending flag
- * and returns false on anything else.
+ * Parses --quick, --out=PATH and --check=BASELINE into `flags`,
+ * skipping the observability flags obsInit consumes. Prints the
+ * offending flag and returns false on anything else.
  */
-bool parseGateFlags(
-    int argc, char **argv, GateFlags &flags,
-    std::initializer_list<std::pair<const char *, bool *>> switches = {});
+bool parseGateFlags(int argc, char **argv, GateFlags &flags);
 
 /**
  * Writes `{"bench": bench, <fields>, "metrics": {...}}` to `path`.
@@ -51,7 +47,8 @@ void writeBenchJson(const std::string &path, const std::string &bench,
 
 /**
  * Reads the "metrics" object of a file writeBenchJson wrote into
- * `out`. Returns false when the file cannot be read.
+ * `out`. Returns false when the file cannot be read or holds no
+ * metric, so an empty or truncated baseline never passes a check.
  */
 bool readBenchMetrics(const std::string &path,
                       std::map<std::string, double> &out);
@@ -67,9 +64,10 @@ int checkMetrics(const std::map<std::string, double> &baseline,
                  const Metrics &current, double tolerance);
 
 /**
- * The tail of every gated bench: writes `metrics` to `flags.out` and,
+ * The tail of a gated bench: writes `metrics` to `flags.out` and,
  * when `flags.baseline` is set, checks them against it. Returns the
- * number of failed checks; exits 2 when the baseline cannot be read.
+ * number of failed checks; exits 2 when the baseline cannot be read
+ * or holds no metric.
  */
 int writeAndCheck(const GateFlags &flags, const std::string &bench,
                   const std::vector<std::pair<std::string, std::string>>

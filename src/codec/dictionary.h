@@ -7,7 +7,9 @@
 #ifndef FUSION_CODEC_DICTIONARY_H
 #define FUSION_CODEC_DICTIONARY_H
 
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +20,9 @@ namespace fusion::codec {
 /**
  * Builds a dictionary over values of type T (first-seen order) and the
  * corresponding code stream. T must be hashable and equality-comparable.
+ * Doubles are keyed by bit pattern, so -0.0 and 0.0 get their own
+ * entries, NaNs of one bit pattern share one, and decoding returns
+ * every value bit-exactly.
  */
 template <typename T>
 class DictionaryEncoder
@@ -27,8 +32,8 @@ class DictionaryEncoder
     uint32_t
     add(const T &value)
     {
-        auto [it, inserted] =
-            index_.try_emplace(value, static_cast<uint32_t>(dict_.size()));
+        auto [it, inserted] = index_.try_emplace(
+            key(value), static_cast<uint32_t>(dict_.size()));
         if (inserted)
             dict_.push_back(value);
         codes_.push_back(it->second);
@@ -41,7 +46,18 @@ class DictionaryEncoder
     size_t valueCount() const { return codes_.size(); }
 
   private:
-    std::unordered_map<T, uint32_t> index_;
+    using Key = std::conditional_t<std::is_same_v<T, double>, uint64_t, T>;
+
+    static decltype(auto)
+    key(const T &value)
+    {
+        if constexpr (std::is_same_v<T, double>)
+            return std::bit_cast<uint64_t>(value);
+        else
+            return (value); // by reference: no string copy per lookup
+    }
+
+    std::unordered_map<Key, uint32_t> index_;
     std::vector<T> dict_;
     std::vector<uint32_t> codes_;
 };

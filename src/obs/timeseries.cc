@@ -10,6 +10,22 @@ namespace fusion::obs {
 
 namespace {
 
+// Telemetry tuning, in simulated seconds where a unit applies.
+/** Span of every named sliding window. */
+constexpr double kWindowSeconds = 0.25;
+/** Half-life of the per-node retry/timeout penalty. */
+constexpr double kPenaltyHalfLifeSeconds = 0.05;
+/** Half-life of the per-node flap evidence (success-after-failure). */
+constexpr double kFlapHalfLifeSeconds = 0.2;
+/** Half-life of chunk-heat access counts. */
+constexpr double kHeatHalfLifeSeconds = 0.5;
+/** Penalty units that halve the health score. */
+constexpr double kPenaltyScoreScale = 4.0;
+/** Flight-recorder ring capacity (events). */
+constexpr size_t kFlightCapacity = 256;
+/** Retained flight dumps before new dumps are dropped. */
+constexpr size_t kMaxFlightDumps = 16;
+
 /** Minimal JSON string escape (quotes, backslashes, control bytes). */
 std::string
 jsonEscape(const std::string &s)
@@ -144,16 +160,14 @@ DecayCounter::valueAt(double seconds) const
 // ---------------------------------------------------------------------
 
 void
-NodeHealthTracker::configure(size_t num_nodes,
-                             const TimeseriesOptions &options)
+NodeHealthTracker::setNumNodes(size_t num_nodes)
 {
-    scoreScale_ = options.penaltyScoreScale;
     nodes_.clear();
     nodes_.reserve(num_nodes);
     for (size_t i = 0; i < num_nodes; ++i) {
         NodeState state;
-        state.penalty = DecayCounter(options.penaltyHalfLifeSeconds);
-        state.flap = DecayCounter(options.flapHalfLifeSeconds);
+        state.penalty = DecayCounter(kPenaltyHalfLifeSeconds);
+        state.flap = DecayCounter(kFlapHalfLifeSeconds);
         nodes_.push_back(std::move(state));
     }
 }
@@ -196,9 +210,7 @@ NodeHealthTracker::score(size_t node, double seconds) const
     const double p = nodes_.at(node).penalty.valueAt(seconds);
     if (p <= 0.0)
         return 1.0;
-    if (scoreScale_ <= 0.0)
-        return 0.0;
-    return std::exp2(-p / scoreScale_);
+    return std::exp2(-p / kPenaltyScoreScale);
 }
 
 NodeHealthTracker::Band
@@ -249,20 +261,14 @@ NodeHealthTracker::bandName(Band band)
 // ---------------------------------------------------------------------
 
 void
-ChunkHeatTable::configure(const TimeseriesOptions &options)
-{
-    halfLife_ = options.heatHalfLifeSeconds;
-    heat_.clear();
-}
-
-void
 ChunkHeatTable::recordAccess(double seconds, const std::string &object,
                              uint32_t chunk, double weight)
 {
     auto key = std::make_pair(object, chunk);
     auto it = heat_.find(key);
     if (it == heat_.end())
-        it = heat_.emplace(std::move(key), DecayCounter(halfLife_))
+        it = heat_.emplace(std::move(key),
+                           DecayCounter(kHeatHalfLifeSeconds))
                  .first;
     it->second.add(seconds, weight);
 }
@@ -322,26 +328,18 @@ ChunkHeatTable::hottest(double seconds, size_t k) const
 // ---------------------------------------------------------------------
 
 void
-FlightRecorder::configure(const TimeseriesOptions &options)
-{
-    capacity_ = options.flightCapacity;
-    maxDumps_ = options.maxFlightDumps;
-    clear();
-}
-
-void
 FlightRecorder::record(double seconds, const char *kind,
                        std::string detail)
 {
-    if (!enabled_ || capacity_ == 0)
+    if (!enabled_)
         return;
     Event event{seconds, kind, std::move(detail)};
-    if (events_.size() < capacity_) {
+    if (events_.size() < kFlightCapacity) {
         events_.push_back(std::move(event));
         return;
     }
     events_[head_] = std::move(event);
-    head_ = (head_ + 1) % capacity_;
+    head_ = (head_ + 1) % kFlightCapacity;
 }
 
 std::string
@@ -353,8 +351,7 @@ FlightRecorder::dump(double seconds, const std::string &reason)
     // Oldest first: the ring's overwrite cursor is the oldest slot.
     const size_t n = events_.size();
     for (size_t i = 0; i < n; ++i) {
-        const Event &e =
-            events_[(head_ + i) % (n < capacity_ ? n : capacity_)];
+        const Event &e = events_[(head_ + i) % n];
         if (i)
             out += ", ";
         out += "{\"seconds\": " + formatDouble(e.seconds) +
@@ -364,46 +361,21 @@ FlightRecorder::dump(double seconds, const std::string &reason)
         out += "}";
     }
     out += "]}";
-    if (dumps_.size() < maxDumps_)
+    if (dumps_.size() < kMaxFlightDumps)
         dumps_.push_back(out);
     return out;
-}
-
-void
-FlightRecorder::clear()
-{
-    events_.clear();
-    dumps_.clear();
-    head_ = 0;
 }
 
 // ---------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------
 
-Telemetry::Telemetry()
-{
-    configure(TimeseriesOptions{});
-}
-
-void
-Telemetry::configure(const TimeseriesOptions &options)
-{
-    options_ = options;
-    health_.configure(health_.numNodes(), options_);
-    heat_.configure(options_);
-    flight_.configure(options_);
-    windows_.clear();
-}
-
 WindowReducer &
 Telemetry::window(const std::string &name)
 {
     auto it = windows_.find(name);
     if (it == windows_.end())
-        it = windows_
-                 .emplace(name, WindowReducer(options_.windowSeconds))
-                 .first;
+        it = windows_.emplace(name, WindowReducer(kWindowSeconds)).first;
     return it->second;
 }
 

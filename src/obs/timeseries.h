@@ -4,7 +4,9 @@
  * (count / rate / mean / interpolated percentiles), half-life decayed
  * accumulators, a per-node health tracker feeding the adaptive retry
  * and load-shedding policies, a decayed per-(object, chunk) heat table
- * for the future re-stripe planner, and a crash-scoped flight recorder.
+ * for the fold-time re-stripe planner, and a crash-scoped flight
+ * recorder. Window spans, half-lives, the health score scale and the
+ * flight recorder's sizes are constants of timeseries.cc.
  *
  * Everything here is driven exclusively from the simulation driver
  * thread and stamped with simulated seconds, so dumps are byte-
@@ -27,24 +29,6 @@
 #include <vector>
 
 namespace fusion::obs {
-
-/** Tuning knobs for the telemetry layer, in simulated seconds. */
-struct TimeseriesOptions {
-    /** Span of every named sliding window. */
-    double windowSeconds = 0.25;
-    /** Half-life of the per-node retry/timeout penalty. */
-    double penaltyHalfLifeSeconds = 0.05;
-    /** Half-life of the per-node flap evidence (success-after-failure). */
-    double flapHalfLifeSeconds = 0.2;
-    /** Half-life of chunk-heat access counts. */
-    double heatHalfLifeSeconds = 0.5;
-    /** Penalty units that halve the health score. */
-    double penaltyScoreScale = 4.0;
-    /** Flight-recorder ring capacity (events). */
-    size_t flightCapacity = 256;
-    /** Retained flight dumps before new dumps are dropped. */
-    size_t maxFlightDumps = 16;
-};
 
 /**
  * Sliding window of (seconds, value) samples. Samples must arrive in
@@ -108,7 +92,8 @@ class NodeHealthTracker
   public:
     enum class Band : uint8_t { kHealthy = 0, kFlapping = 1, kDead = 2 };
 
-    void configure(size_t num_nodes, const TimeseriesOptions &options);
+    /** Tracks `num_nodes` nodes, every one healthy. */
+    void setNumNodes(size_t num_nodes);
 
     void recordRetry(double seconds, size_t node, double backoff_seconds);
     void recordTimeout(double seconds, size_t node);
@@ -131,14 +116,14 @@ class NodeHealthTracker
         size_t consecutiveTimeouts = 0;
     };
 
-    double scoreScale_ = 4.0;
     std::vector<NodeState> nodes_;
 };
 
 /**
  * Decayed per-(object, chunk) access counts. Fed by cache lookups and
- * fetch/pushdown task creation; read by bench_cache_zipf's heat report
- * and, eventually, the workload-adaptive re-stripe planner.
+ * fetch/pushdown task creation; read by the fold-time re-stripe
+ * planner (store::decideRestripe), Telemetry::toJson and bench_paper's
+ * cache ablation.
  */
 class ChunkHeatTable
 {
@@ -148,8 +133,6 @@ class ChunkHeatTable
         uint32_t chunk = 0;
         double heat = 0.0;
     };
-
-    void configure(const TimeseriesOptions &options);
 
     void recordAccess(double seconds, const std::string &object,
                       uint32_t chunk, double weight = 1.0);
@@ -168,21 +151,19 @@ class ChunkHeatTable
     void evictObject(const std::string &object);
 
   private:
-    double halfLife_ = 0.5;
     std::map<std::pair<std::string, uint32_t>, DecayCounter> heat_;
 };
 
 /**
- * Fixed-size ring of recent telemetry events, dumped as canonical JSON
- * on degraded-read entry or a fault-schedule crash for post-mortem
- * diffing. Disabled by default so the store's disabled-observability
- * overhead guard is unaffected.
+ * Fixed-size ring of recent telemetry events (256), dumped as
+ * canonical JSON on degraded-read entry or a fault-schedule crash for
+ * post-mortem diffing; the first 16 dumps are retained. Disabled by
+ * default so the store's disabled-observability overhead guard is
+ * unaffected.
  */
 class FlightRecorder
 {
   public:
-    void configure(const TimeseriesOptions &options);
-
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
@@ -196,7 +177,6 @@ class FlightRecorder
 
     const std::vector<std::string> &dumps() const { return dumps_; }
     size_t eventCount() const { return events_.size(); }
-    void clear();
 
   private:
     struct Event {
@@ -206,8 +186,6 @@ class FlightRecorder
     };
 
     bool enabled_ = false;
-    size_t capacity_ = 256;
-    size_t maxDumps_ = 16;
     size_t head_ = 0; // next slot to overwrite once the ring is full
     std::vector<Event> events_;
     std::vector<std::string> dumps_;
@@ -221,11 +199,6 @@ class FlightRecorder
 class Telemetry
 {
   public:
-    Telemetry();
-
-    void configure(const TimeseriesOptions &options);
-    const TimeseriesOptions &options() const { return options_; }
-
     NodeHealthTracker &health() { return health_; }
     const NodeHealthTracker &health() const { return health_; }
     ChunkHeatTable &heat() { return heat_; }
@@ -244,7 +217,6 @@ class Telemetry
     std::string toJson(double seconds, size_t hottest_chunks = 10);
 
   private:
-    TimeseriesOptions options_;
     NodeHealthTracker health_;
     ChunkHeatTable heat_;
     FlightRecorder flight_;

@@ -402,12 +402,11 @@ class ObjectStore
      * Builds the client reply of a planned query, after the delta
      * merge. A non-aggregate column whose every footer chunk is
      * dictionary-encoded ships as format::encodeChunk bytes (default
-     * options). That encoding gives the values back (a double zero
-     * returns with the sign of the column's first zero, which compares
-     * equal), so the result keeps them as they are. Any other column
-     * ships plain, an aggregate as 16 bytes and a zero-row column as 0
-     * bytes. Sets the plan's clientReply* fields and the EXPLAIN
-     * report's per-column reply lines.
+     * options). That encoding gives the values back bit for bit, so
+     * the result keeps them as they are. Any other column ships plain,
+     * an aggregate as 16 bytes and a zero-row column as 0 bytes. Sets
+     * the plan's clientReply* fields and the EXPLAIN report's
+     * per-column reply lines.
      */
     void encodeClientReply(const ObjectManifest &manifest,
                            QueryPlan &plan) const;

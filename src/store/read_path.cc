@@ -35,8 +35,7 @@ ReadPath::ReadPath(sim::Cluster &cluster, const StoreOptions &options,
     // feeding the adaptive retry budget and the scheduler's load-shed
     // term. Health gauges are registered for every node up front so
     // snapshots keep a stable key set.
-    obs_.telemetry.health().configure(cluster_.numNodes(),
-                                      obs_.telemetry.options());
+    obs_.telemetry.health().setNumNodes(cluster_.numNodes());
     lastBand_.assign(cluster_.numNodes(),
                      obs::NodeHealthTracker::Band::kHealthy);
     healthGauges_.reserve(cluster_.numNodes());

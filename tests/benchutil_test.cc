@@ -200,5 +200,37 @@ TEST(GateTest, WriterOutputRoundTripsThroughReader)
     EXPECT_FALSE(readBenchMetrics(path, none));
 }
 
+/** Writes `text` to a temp file and reads it as a baseline. A
+ *  baseline that names no metric would pass every check vacuously, so
+ *  the reader must refuse it. */
+bool
+readsAsBaseline(const char *text)
+{
+    const std::string path = testing::TempDir() + "gate_baseline.json";
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        ADD_FAILURE() << "cannot write " << path;
+        return true;
+    }
+    std::fputs(text, f);
+    std::fclose(f);
+    std::map<std::string, double> read;
+    bool ok = readBenchMetrics(path, read);
+    std::remove(path.c_str());
+    return ok || !read.empty();
+}
+
+TEST(GateTest, BaselineWithoutMetricsObjectIsUnreadable)
+{
+    EXPECT_FALSE(readsAsBaseline("{\n  \"bench\": \"kernels\",\n  "
+                                 "\"quick\": true\n"));
+}
+
+TEST(GateTest, BaselineWithEmptyMetricsIsUnreadable)
+{
+    EXPECT_FALSE(readsAsBaseline("{\n  \"bench\": \"kernels\",\n  "
+                                 "\"metrics\": {}\n}\n"));
+}
+
 } // namespace
 } // namespace fusion::benchutil

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
+#include "codec/dictionary.h"
 #include "codec/rle.h"
 #include "common/random.h"
 #include "common/serde.h"
@@ -231,6 +233,22 @@ TEST(ChunkCodecTest, LowCardinalityUsesDictionary)
     EXPECT_LT(encoded.bytes.size(), encoded.plainSize / 20);
 }
 
+/** `column` encodes as a dictionary chunk and decodes to the same bit
+ *  pattern at every row. */
+void
+expectBitExactDictionaryRoundTrip(const ColumnData &column)
+{
+    EncodedChunk chunk = encodeChunk(column, {});
+    ASSERT_EQ(chunk.encoding, ChunkEncoding::kDictionary);
+    auto back = decodeChunk(Slice(chunk.bytes), PhysicalType::kDouble);
+    ASSERT_TRUE(back.isOk());
+    ASSERT_EQ(back.value().size(), column.size());
+    for (size_t i = 0; i < column.size(); ++i)
+        EXPECT_EQ(std::bit_cast<uint64_t>(back.value().doubles()[i]),
+                  std::bit_cast<uint64_t>(column.doubles()[i]))
+            << "row " << i;
+}
+
 // A client reply ships the selected rows of dictionary chunks as
 // encodeChunk bytes and keeps the values it encoded, so the encoding
 // must give those values back exactly.
@@ -275,16 +293,24 @@ TEST(ChunkCodecTest, ReplyShapedColumnsRoundTripLosslessly)
                 << physicalTypeName(t) << " keep " << keep;
         }
     }
-    // The one exception: dictionary keys compare doubles by value, so a
-    // reply holding both zeros comes back with the first one's sign. The
-    // values still compare equal.
+    // Dictionary keys are bit patterns, so both zeros keep their sign.
     ColumnData zeros(PhysicalType::kDouble);
     for (double v : {0.0, -0.0, 0.0, -0.0, 1.0, 1.0})
         zeros.append(v);
-    auto back = decodeChunk(Slice(encodeChunk(zeros, {}).bytes),
-                            PhysicalType::kDouble);
-    ASSERT_TRUE(back.isOk());
-    EXPECT_TRUE(back.value() == zeros);
+    expectBitExactDictionaryRoundTrip(zeros);
+}
+
+TEST(ChunkCodecTest, EqualNaNsShareOneDictionaryEntry)
+{
+    const double nan = std::bit_cast<double>(0x7ff8'0000'0000'1234ULL);
+    ColumnData nans(PhysicalType::kDouble);
+    codec::DictionaryEncoder<double> dict;
+    for (int i = 0; i < 200; ++i) {
+        nans.append(nan);
+        dict.add(nan);
+    }
+    EXPECT_EQ(dict.cardinality(), 1u);
+    expectBitExactDictionaryRoundTrip(nans);
 }
 
 TEST(ChunkCodecTest, HighCardinalityFallsBackToPlain)

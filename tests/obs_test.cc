@@ -542,7 +542,7 @@ TEST(TimeseriesTest, DecayCounterHalvesPerHalfLife)
 TEST(TimeseriesTest, HealthScoreDropsUnderTimeoutsAndRecovers)
 {
     obs::NodeHealthTracker h;
-    h.configure(4, obs::TimeseriesOptions{});
+    h.setNumNodes(4);
     for (size_t n = 0; n < 4; ++n) {
         EXPECT_DOUBLE_EQ(h.score(n, 0.0), 1.0);
         EXPECT_EQ(h.band(n, 0.0),
@@ -577,7 +577,7 @@ TEST(TimeseriesTest, HealthScoreDropsUnderTimeoutsAndRecovers)
 TEST(TimeseriesTest, FlapEvidenceSeparatesFlappingFromDead)
 {
     obs::NodeHealthTracker h;
-    h.configure(2, obs::TimeseriesOptions{});
+    h.setNumNodes(2);
 
     // Success with no open streak is a no-op (the hot path).
     h.recordSuccess(0.0, 0);
@@ -599,10 +599,7 @@ TEST(TimeseriesTest, FlapEvidenceSeparatesFlappingFromDead)
 
 TEST(TimeseriesTest, ChunkHeatDecaysAndRanks)
 {
-    obs::TimeseriesOptions opt;
-    opt.heatHalfLifeSeconds = 0.5;
-    obs::ChunkHeatTable heat;
-    heat.configure(opt);
+    obs::ChunkHeatTable heat; // half-life 0.5 s
 
     for (int i = 0; i < 3; ++i)
         heat.recordAccess(0.0, "a", 0);
@@ -633,42 +630,44 @@ TEST(TimeseriesTest, ChunkHeatDecaysAndRanks)
 
 TEST(TimeseriesTest, FlightRecorderRingOverwritesOldestAndCapsDumps)
 {
-    obs::TimeseriesOptions opt;
-    opt.flightCapacity = 4;
-    opt.maxFlightDumps = 2;
+    // The recorder's fixed sizes (timeseries.cc).
+    constexpr int kCapacity = 256;
+    constexpr size_t kMaxDumps = 16;
     obs::FlightRecorder rec;
-    rec.configure(opt);
 
     // Disabled by default: record() is a no-op (overhead guard).
     rec.record(0.0, "noise", "");
     EXPECT_EQ(rec.eventCount(), 0u);
 
     rec.setEnabled(true);
-    for (int i = 0; i < 6; ++i)
+    auto seq = [](int i) { return "\"seq\": " + std::to_string(i) + "}"; };
+    for (int i = 0; i < kCapacity + 2; ++i)
         rec.record(0.01 * static_cast<double>(i), "event",
                    "\"seq\": " + std::to_string(i));
-    EXPECT_EQ(rec.eventCount(), 4u); // ring holds the last 4
+    // The ring holds the last kCapacity.
+    EXPECT_EQ(rec.eventCount(), static_cast<size_t>(kCapacity));
 
-    std::string dump = rec.dump(0.06, "unit_test");
+    std::string dump = rec.dump(0.01 * (kCapacity + 2), "unit_test");
     EXPECT_TRUE(jsonBalanced(dump));
-    EXPECT_EQ(dump.find("\"seq\": 0"), std::string::npos);
-    EXPECT_EQ(dump.find("\"seq\": 1"), std::string::npos);
+    EXPECT_EQ(dump.find(seq(0)), std::string::npos);
+    EXPECT_EQ(dump.find(seq(1)), std::string::npos);
     // Oldest surviving event renders first.
-    EXPECT_LT(dump.find("\"seq\": 2"), dump.find("\"seq\": 5"));
+    EXPECT_LT(dump.find(seq(2)), dump.find(seq(kCapacity + 1)));
     EXPECT_NE(dump.find("\"reason\": \"unit_test\""),
               std::string::npos);
 
-    // Retention caps at maxFlightDumps; dump() still returns the JSON.
-    rec.dump(0.07, "second");
-    std::string third = rec.dump(0.08, "third");
-    EXPECT_EQ(rec.dumps().size(), 2u);
-    EXPECT_NE(third.find("\"third\""), std::string::npos);
+    // Retention caps at kMaxDumps; dump() still returns the JSON.
+    for (size_t d = 1; d < kMaxDumps; ++d)
+        rec.dump(0.01 * (kCapacity + 2), "more");
+    std::string last = rec.dump(0.01 * (kCapacity + 3), "past_the_cap");
+    EXPECT_EQ(rec.dumps().size(), kMaxDumps);
+    EXPECT_NE(last.find("\"past_the_cap\""), std::string::npos);
 }
 
 TEST(TimeseriesTest, TelemetrySnapshotIsCanonicalJson)
 {
     obs::Telemetry tel;
-    tel.health().configure(2, tel.options());
+    tel.health().setNumNodes(2);
     tel.window("query.latency_seconds").observe(0.01, 0.5);
     tel.heat().recordAccess(0.01, "obj", 7);
     tel.flight().setEnabled(true);
