@@ -96,7 +96,7 @@ const Figure kFigures[] = {
      paper::deploymentStudy},
     {"ablation-ingest", "Ablation A7", "queries under concurrent ingest",
      paper::ablationIngest},
-    {"ablation-faults", "Ablation A6",
+    {"ablation-faults", "Ablation A12",
      "degraded reads under injected faults (failure-rate sweep)",
      paper::ablationFaults},
     {"ablation-cache", "Ablation A8",

@@ -26,7 +26,7 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
 
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
-    plan.outcome.result = plane.value()->result;
+    plan.outcome.result = std::move(plane.value().result);
 
     // Distinct columns the query touches, filter columns first.
     std::vector<size_t> columns;
@@ -42,7 +42,7 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
     // Single stage: fetch every needed chunk (in pieces, from wherever
     // the fixed-block layout scattered them) and evaluate locally.
     for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!plane.value()->rowGroupBitmaps[rg].has_value()) {
+        if (!plane.value().rowGroupBitmaps[rg].has_value()) {
             ++plan.outcome.rowGroupsSkipped;
             continue;
         }

@@ -165,12 +165,11 @@ DeltaLifecycle::append(const std::string &name, const format::Table &rows)
     DeltaSegment segment;
     segment.rows = rows.numRows();
     segment.bytes = written.value().bytes.size();
-    segment.appendSeconds = cluster_.engine().now();
     segment.blockKey =
         base->shareName() + "#d" + std::to_string(log.nextSeq());
     segment.meta = written.value().metadata;
     const size_t replicas =
-        std::min(options_.deltaReplicas, cluster_.numNodes());
+        std::min(kDeltaReplicas, cluster_.numNodes());
     segment.replicaNodes = cluster_.chooseNodes(replicas);
     for (size_t node_id : segment.replicaNodes)
         cluster_.node(node_id).putBlock(segment.blockKey,
@@ -412,17 +411,8 @@ DeltaLifecycle::noteAppend(const std::string &object)
     const DeltaLog *log = deltaLog(object);
     if (log == nullptr || log->empty())
         return;
-    if (sizeTriggered(*log)) {
+    if (sizeTriggered(*log))
         scheduleFold(object, *log);
-    } else if (options_.compaction.maxAgeSeconds > 0.0) {
-        foldPending_.insert(object);
-        double deadline = log->segments().front().appendSeconds +
-                          options_.compaction.maxAgeSeconds;
-        double delay = std::max(kMinFoldDelaySeconds,
-                                deadline - cluster_.engine().now());
-        cluster_.engine().schedule(delay,
-                                   [this, object]() { ageCheck(object); });
-    }
 }
 
 void
@@ -441,39 +431,14 @@ DeltaLifecycle::scheduleFold(const std::string &object, const DeltaLog &log)
 }
 
 void
-DeltaLifecycle::ageCheck(const std::string &object)
-{
-    foldPending_.erase(object);
-    const DeltaLog *log = deltaLog(object);
-    if (log == nullptr || log->empty())
-        return;
-    const double now = cluster_.engine().now();
-    const double oldest = log->segments().front().appendSeconds;
-    if (sizeTriggered(*log) ||
-        now - oldest + 1e-12 >= options_.compaction.maxAgeSeconds) {
-        scheduleFold(object, *log);
-        return;
-    }
-    // Deadline still ahead (newer oldest segment after a partial fold):
-    // re-arm exactly once per strictly-later deadline, so the event
-    // chain is finite.
-    foldPending_.insert(object);
-    double delay = std::max(
-        kMinFoldDelaySeconds,
-        oldest + options_.compaction.maxAgeSeconds - now);
-    cluster_.engine().schedule(delay,
-                               [this, object]() { ageCheck(object); });
-}
-
-void
 DeltaLifecycle::runFold(const std::string &object, uint64_t seal_seq)
 {
     Status status = compactObjectNow(object, seal_seq);
     foldPending_.erase(object);
     // Segments appended after the seal may already cross a threshold
-    // again (or need an age check). An abort stays quiescent until the
-    // next append re-triggers: re-arming here would keep the DES alive
-    // forever on a cluster that can no longer read the base.
+    // again. An abort stays quiescent until the next append
+    // re-triggers: re-arming here would keep the DES alive forever on
+    // a cluster that can no longer read the base.
     if (status.isOk())
         noteAppend(object);
 }
@@ -513,26 +478,11 @@ DeltaLifecycle::mergeDeltaIntoPlan(const ObjectManifest &manifest,
         auto reader = format::FileReader::open(Slice(*replica.value().block));
         if (!reader.isOk())
             return reader.status();
-        std::map<std::pair<size_t, size_t>, format::ChunkView> opened;
-        ObjectStore::ChunkSource source{
-            [&](const std::vector<std::pair<size_t, size_t>> &rg_cols) {
-                for (const auto &key : rg_cols) {
-                    if (opened.count(key) > 0)
-                        continue;
-                    auto chunk = format::openChunk(
-                        reader.value().chunkBytes(key.first, key.second),
-                        segment.meta.schema.column(key.second).physical);
-                    if (!chunk.isOk())
-                        return chunk.status();
-                    opened.emplace(key, std::move(chunk.value()));
-                }
-                return Status::ok();
-            },
-            [&](size_t rg, size_t col) -> const format::ChunkView & {
-                return opened.at({rg, col});
-            }};
-        auto plane =
-            ObjectStore::runDataPlane(segment.meta, resolved, source);
+        auto plane = ObjectStore::runDataPlane(
+            segment.meta, resolved, [&](size_t rg, size_t col) {
+                return Result<Bytes>(
+                    reader.value().chunkBytes(rg, col).toBytes());
+            });
         if (!plane.isOk())
             return plane.status();
         const ObjectStore::DataPlane &dp = plane.value();
@@ -570,7 +520,7 @@ DeltaLifecycle::mergeDeltaIntoPlan(const ObjectManifest &manifest,
         // only identical queries in one admission window move these
         // bytes once.
         SimTask task{TaskKind::kDeltaFetch, manifest, UINT32_MAX,
-                     replica.value().nodeId, options_.requestRpcBytes,
+                     replica.value().nodeId, kRequestRpcBytes,
                      touched_bytes, 0.0, touched_bytes, scan_work};
         task.shareKey = "dfetch|" + manifest.shareName() + "|d" +
                         std::to_string(segment.seq) + "|" +

@@ -40,7 +40,6 @@ struct DeltaSegment {
     uint64_t seq = 0;           // position in the log, stamped on append
     uint64_t rows = 0;
     uint64_t bytes = 0;         // serialized fpax file size
-    double appendSeconds = 0.0; // simulated time the append landed
     std::string blockKey;       // storage key on every replica
     std::vector<size_t> replicaNodes;
     format::FileMetadata meta;  // footer of the segment file
@@ -103,7 +102,7 @@ class DeltaLifecycle
 
     /**
      * Appends rows to an fpax object: the batch is serialized as a
-     * standalone fpax segment, replicated deltaReplicas ways and added
+     * standalone fpax segment, replicated kDeltaReplicas ways and added
      * to the object's delta log. Readers and queries immediately see
      * the new rows merged on top of the base generation; a background
      * fold later seals the log into a fresh FAC layout. The schema
@@ -190,13 +189,11 @@ class DeltaLifecycle
      * threshold is already crossed the log is sealed at its current
      * lastSeq and the fold is scheduled estimatedFoldSeconds ahead —
      * queries in that window still see the old generation plus every
-     * segment. Otherwise an age check is armed at the oldest segment's
-     * deadline.
+     * segment.
      */
     void noteAppend(const std::string &object);
     bool sizeTriggered(const DeltaLog &log) const;
     void scheduleFold(const std::string &object, const DeltaLog &log);
-    void ageCheck(const std::string &object);
     void runFold(const std::string &object, uint64_t seal_seq);
 
     sim::Cluster &cluster_;
@@ -231,7 +228,7 @@ class DeltaLifecycle
      * goes only with the object.
      */
     std::map<std::string, DeltaLog> deltaLogs_;
-    /** Objects with an age check or fold event in flight. */
+    /** Objects with a fold event in flight. */
     std::set<std::string> foldPending_;
 };
 

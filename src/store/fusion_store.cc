@@ -42,14 +42,14 @@ FusionStore::planQuery(const ObjectManifest &manifest,
     auto plane_r = executeDataPlane(manifest, q);
     if (!plane_r.isOk())
         return plane_r.status();
-    const DataPlane &plane = *plane_r.value();
+    DataPlane &plane = plane_r.value();
 
     const format::FileMetadata &meta = manifest.fileMeta;
     const format::Schema &schema = meta.schema;
 
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
-    plan.outcome.result = plane.result;
+    plan.outcome.result = std::move(plane.result);
 
     // Filter signatures identify the reply payload for cross-query
     // sharing: a filter-pushdown bitmap depends only on the predicates
@@ -110,7 +110,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             if (state == ChunkPushdownState::kPushable) {
                 size_t node = manifest.nodesForChunk(chunk_id)[0];
                 SimTask task{TaskKind::kFilterPushdown, manifest, chunk_id,
-                             node, options_.requestRpcBytes, chunk.storedSize,
+                             node, kRequestRpcBytes, chunk.storedSize,
                              chunkDecodeWork(chunk),
                              plane.filterReplyWireSize.at({rg, col}), 0.0};
                 task.shareKey = "fpush|" + manifest.shareName() + "|" +
@@ -225,7 +225,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
                 continue;
             }
             size_t node = manifest.nodesForChunk(chunk_id)[0];
-            uint64_t request = options_.requestRpcBytes +
+            uint64_t request = kRequestRpcBytes +
                                plane.rowGroupBitmapWireSize[rg];
             // If this node decoded the chunk during the filter stage of
             // this query, projection reuses the decoded form: no second
@@ -275,7 +275,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
             } else {
                 // Fetch the compressed chunk; decode + select locally.
                 SimTask task{TaskKind::kChunkFetch, manifest, chunk_id,
-                             node, options_.requestRpcBytes, chunk.storedSize,
+                             node, kRequestRpcBytes, chunk.storedSize,
                              0.0, chunk.storedSize, chunkDecodeWork(chunk)};
                 task.shareKey =
                     "cfetch|" + manifest.shareName() + "|" +

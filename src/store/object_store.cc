@@ -1,7 +1,6 @@
 #include "object_store.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/thread_pool.h"
 #include "common/walltime.h"
@@ -91,7 +90,6 @@ void
 ObjectStore::forgetObject(const std::string &name)
 {
     chunkCache_.invalidateObject(name);
-    memo_.erase(name);
     obs_.telemetry.heat().evictObject(name);
 }
 
@@ -443,90 +441,18 @@ ObjectStore::resolveQuery(const query::Query &q,
     return resolved;
 }
 
-Status
-ObjectStore::prefetchChunks(
-    const ObjectManifest &manifest,
-    const std::vector<std::pair<size_t, size_t>> &rg_cols)
-{
-    // Dedupe within the request, then against the memo: one decode
-    // hit or miss per distinct chunk.
-    ObjectMemo &memo = memo_[manifest.name];
-    std::vector<std::pair<size_t, size_t>> todo;
-    std::set<uint32_t> seen;
-    for (const auto &[rg, col] : rg_cols) {
-        uint32_t chunk_id = manifest.chunkIdFor(rg, col);
-        if (!seen.insert(chunk_id).second)
-            continue;
-        if (memo.chunks.count(chunk_id) > 0) {
-            cacheDecodeHit_.add(1);
-            continue;
-        }
-        cacheDecodeMiss_.add(1);
-        todo.emplace_back(rg, col);
-    }
-    if (todo.empty())
-        return Status::ok();
-
-    // Phase 1 (serial): fetch raw chunk bytes. This is where degraded
-    // reads, retries and fault counters happen — it must stay on the
-    // calling thread so they are identical for any thread count.
-    std::vector<Bytes> raw(todo.size());
-    for (size_t i = 0; i < todo.size(); ++i) {
-        auto bytes = readPath_.readChunkBytes(
-            manifest, manifest.chunkIdFor(todo[i].first, todo[i].second));
-        if (!bytes.isOk())
-            return bytes.status();
-        raw[i] = std::move(bytes.value());
-    }
-
-    // Phase 2 (parallel): decompress, pure per-slot CPU work.
-    std::vector<Result<format::ChunkView>> opened(
-        todo.size(), Result<format::ChunkView>(format::ChunkView()));
-    ThreadPool::shared().parallelFor(0, todo.size(), [&](size_t i) {
-        opened[i] = format::openChunk(
-            Slice(raw[i]),
-            manifest.fileMeta.schema.column(todo[i].second).physical);
-    });
-
-    // Phase 3 (serial): surface errors in index order, fill the memo.
-    for (size_t i = 0; i < todo.size(); ++i) {
-        if (!opened[i].isOk())
-            return opened[i].status();
-        memo.chunks.emplace(
-            manifest.chunkIdFor(todo[i].first, todo[i].second),
-            std::move(opened[i].value()));
-    }
-    return Status::ok();
-}
-
-Result<const ObjectStore::DataPlane *>
+Result<ObjectStore::DataPlane>
 ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                               const query::Query &q)
 {
-    ObjectMemo &memo = memo_[manifest.name];
-    std::string plane_key = q.toString();
-    auto cached = memo.planes.find(plane_key);
-    if (cached != memo.planes.end()) {
-        cachePlanHit_.add(1);
-        return &cached->second;
-    }
-    cachePlanMiss_.add(1);
-
-    // Chunks open into the memo (fetch serial, decompress on the shared
-    // ThreadPool; see prefetchChunks); the kernel only reads it.
-    ChunkSource source{
-        [&](const std::vector<std::pair<size_t, size_t>> &rg_cols) {
-            return prefetchChunks(manifest, rg_cols);
-        },
-        [&](size_t rg, size_t col) -> const format::ChunkView & {
-            return memo.chunks.at(manifest.chunkIdFor(rg, col));
-        }};
-    auto plane = runDataPlane(manifest.fileMeta, q, source);
-    if (!plane.isOk())
-        return plane.status();
-    sizeReplies(manifest.fileMeta, q, plane.value());
-    return &memo.planes.emplace(std::move(plane_key), std::move(plane.value()))
-                .first->second;
+    auto plane = runDataPlane(
+        manifest.fileMeta, q, [&](size_t rg, size_t col) {
+            return readPath_.readChunkBytes(manifest,
+                                            manifest.chunkIdFor(rg, col));
+        });
+    if (plane.isOk())
+        sizeReplies(manifest.fileMeta, q, plane.value());
+    return plane;
 }
 
 void
@@ -573,10 +499,47 @@ ObjectStore::sizeReplies(const format::FileMetadata &meta,
 
 Result<ObjectStore::DataPlane>
 ObjectStore::runDataPlane(const format::FileMetadata &meta,
-                          const query::Query &q, const ChunkSource &source)
+                          const query::Query &q,
+                          const ChunkBytesFn &chunk_bytes)
 {
     const format::Schema &schema = meta.schema;
     DataPlane plane;
+
+    // This query's opened chunks: a chunk both stages read decompresses
+    // once. `open` fetches the raw bytes of every listed chunk not yet
+    // open serially, in request order, then decompresses them on the
+    // shared ThreadPool, each into its own map slot.
+    using Key = std::pair<size_t, size_t>;
+    std::map<Key, format::ChunkView> opened;
+    auto open = [&](const std::vector<Key> &keys) {
+        struct Fetched {
+            format::ChunkView *slot;
+            format::PhysicalType type;
+            Bytes raw;
+        };
+        std::vector<Fetched> todo;
+        for (const Key &key : keys) {
+            auto [slot, fresh] = opened.try_emplace(key);
+            if (!fresh)
+                continue;
+            auto bytes = chunk_bytes(key.first, key.second);
+            if (!bytes.isOk())
+                return bytes.status();
+            todo.push_back({&slot->second, schema.column(key.second).physical,
+                            std::move(bytes.value())});
+        }
+        std::vector<Status> status(todo.size());
+        ThreadPool::shared().parallelFor(0, todo.size(), [&](size_t i) {
+            auto chunk = format::openChunk(Slice(todo[i].raw), todo[i].type);
+            if (chunk.isOk())
+                *todo[i].slot = std::move(chunk.value());
+            else
+                status[i] = chunk.status();
+        });
+        for (const Status &s : status)
+            FUSION_RETURN_IF_ERROR(s);
+        return Status::ok();
+    };
 
     // Zone-map pruning (metadata only) decides which row groups scan.
     std::vector<size_t> scanned;
@@ -593,15 +556,15 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
             scanned.push_back(rg);
     }
 
-    // Load every filter chunk the scan will touch, then evaluate every
+    // Open every filter chunk the scan will touch, then evaluate every
     // (row group, predicate) bitmap concurrently — pure CPU work inside
     // one simulated event.
-    std::vector<std::pair<size_t, size_t>> filter_chunks;
+    std::vector<Key> filter_chunks;
     for (size_t rg : scanned)
         for (const auto &col_name : q.filterColumns())
             filter_chunks.emplace_back(
                 rg, schema.columnIndex(col_name).value());
-    FUSION_RETURN_IF_ERROR(source.load(filter_chunks));
+    FUSION_RETURN_IF_ERROR(open(filter_chunks));
 
     const size_t nf = q.filters.size();
     std::vector<size_t> pred_cols(nf);
@@ -621,7 +584,7 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
         0, pred_bitmaps.size(), [&](size_t i) {
             const size_t rg = scanned[i / nf], p = i % nf;
             const query::Predicate &pred = q.filters[p];
-            const format::ChunkView &chunk = source.chunk(rg, pred_cols[p]);
+            const format::ChunkView &chunk = opened.at({rg, pred_cols[p]});
             Status rows = rows_match(rg, chunk);
             if (rows.isOk())
                 pred_bitmaps[i] =
@@ -668,10 +631,10 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
                   static_cast<double>(meta.numRows);
 
     // ---- projection stage (real) ----
-    // Load every projection chunk the selection touches, then decode
+    // Open every projection chunk the selection touches, then decode
     // only the selected rows of each (row group, column) concurrently;
     // the values concatenate per column in row-group order.
-    std::vector<std::pair<size_t, size_t>> projection_chunks;
+    std::vector<Key> projection_chunks;
     for (const auto &name : q.projectionColumns()) {
         size_t col = schema.columnIndex(name).value();
         for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
@@ -680,7 +643,7 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
                 projection_chunks.emplace_back(rg, col);
         }
     }
-    FUSION_RETURN_IF_ERROR(source.load(projection_chunks));
+    FUSION_RETURN_IF_ERROR(open(projection_chunks));
 
     std::vector<Result<format::ColumnData>> selected(
         projection_chunks.size(),
@@ -688,7 +651,7 @@ ObjectStore::runDataPlane(const format::FileMetadata &meta,
     ThreadPool::shared().parallelFor(
         0, projection_chunks.size(), [&](size_t i) {
             const auto [rg, col] = projection_chunks[i];
-            const format::ChunkView &chunk = source.chunk(rg, col);
+            const format::ChunkView &chunk = opened.at({rg, col});
             Status rows = rows_match(rg, chunk);
             if (rows.isOk())
                 selected[i] = format::decodeSelected(
@@ -747,9 +710,6 @@ ObjectStore::chunkPushdownState(const ObjectManifest &manifest,
 void
 ObjectStore::dropCaches()
 {
-    // The memo only; the semantic hot-chunk cache survives (it is kept
-    // correct by invalidation, not recomputation).
-    memo_.clear();
 }
 
 bool

@@ -2,10 +2,10 @@
  * @file
  * The analytics object store core. ObjectStore keeps the manifests,
  * Put (layout + erasure coding + placement), the data plane (real
- * decode / filter / projection) with its memo, the coordinator cache
- * glue and the public entry points; ReadPath (read_path.h),
- * DeltaLifecycle (delta_lifecycle.h) and StageDag (stage_dag.h) carry
- * degraded reads, appends and simulated time. Subclasses define how
+ * decode / filter / projection), the coordinator cache glue and the
+ * public entry points; ReadPath (read_path.h), DeltaLifecycle
+ * (delta_lifecycle.h) and StageDag (stage_dag.h) carry degraded
+ * reads, appends and simulated time. Subclasses define how
  * objects are laid out and how queries are planned:
  *
  *   BaselineStore — fixed-size blocks (MinIO/Ceph practice): chunks
@@ -17,13 +17,14 @@
  * Query execution is hybrid: results are computed on real bytes (and
  * are identical across stores — asserted in tests), while elapsed time
  * is charged to simulated disk/NIC/CPU resources from the byte counts
- * the plan moves. One per-object memo (opened chunks and data planes)
- * skips repeated identical work so thousand-query experiments run in
- * seconds; it never changes a result or a simulated charge.
+ * the plan moves. Every query reads its chunks through the read path
+ * and opens each once; nothing it opens outlives it, so every faulted
+ * read is charged to the query that made it.
  */
 #ifndef FUSION_STORE_OBJECT_STORE_H
 #define FUSION_STORE_OBJECT_STORE_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -137,11 +138,11 @@ class ObjectStore
     const obs::Observability &obs() const { return obs_; }
 
     /**
-     * Clears the data-plane memo so subsequent reads hit the (possibly
-     * faulted) nodes again. Fault tests use this to force re-execution
-     * of the degraded read path. The semantic hot-chunk cache
-     * (chunkCache()) is NOT dropped — it models coordinator state and
-     * is kept correct by invalidation.
+     * Does nothing, and is kept as an empty function for existing
+     * callers: the store keeps no data-plane state between queries, so
+     * every query already reads the (possibly faulted) nodes. The
+     * coordinator cache (chunkCache()) models coordinator state and is
+     * kept correct by invalidation, so it is not dropped either.
      */
     void dropCaches();
 
@@ -246,19 +247,7 @@ class ObjectStore
         return 0.25 * static_cast<double>(chunk.plainSize);
     }
 
-    // ---- data plane (real bytes, memoized) ----
-
-    /**
-     * Fills the object's memo with the opened (decompressed, not
-     * decoded) form of a set of (row group, column) chunks, counting one
-     * cache.decode.hit or miss per distinct chunk: raw bytes are fetched
-     * serially (degraded reads and fault.* counters stay deterministic),
-     * then decompression fans out on the shared ThreadPool. Results are
-     * bit-identical to serial decoding for any FUSION_THREADS value.
-     */
-    Status prefetchChunks(
-        const ObjectManifest &manifest,
-        const std::vector<std::pair<size_t, size_t>> &rg_cols);
+    // ---- data plane (real bytes) ----
 
     /** Results of the real data-plane execution shared by planners. */
     struct DataPlane {
@@ -291,41 +280,31 @@ class ObjectStore
         std::map<std::pair<size_t, size_t>, uint64_t> filterReplyWireSize;
     };
 
-    /**
-     * Where the data-plane kernel reads opened chunks: `load` makes
-     * every listed (row group, column) chunk available, each
-     * decompressed once, and `chunk` returns one it loaded. The kernel
-     * calls `chunk` from parallel loops, so it must only read.
-     */
-    struct ChunkSource {
-        std::function<Status(const std::vector<std::pair<size_t, size_t>> &)>
-            load;
-        std::function<const format::ChunkView &(size_t, size_t)> chunk;
-    };
+    /** Raw (stored) bytes of one (row group, column) chunk. */
+    using ChunkBytesFn =
+        std::function<Result<Bytes>(size_t row_group, size_t column)>;
 
     /**
-     * The data-plane kernel over one fpax file, memo-free and
-     * late-materialised: zone-map pruning, per-(row group, predicate)
-     * bitmaps evaluated on the opened chunks (dictionary chunks on their
-     * codes) and ANDed per column and per row group, then a decode of
-     * only the selected rows of every projected chunk. Loads the
-     * zone-map survivors' filter chunks, then the projected chunks of
-     * the row groups with a match. Leaves the reply sizes empty. The
-     * base runs it over its memo (executeDataPlane), a delta segment
-     * over its replica.
+     * The data-plane kernel over one fpax file, late-materialised:
+     * zone-map pruning, per-(row group, predicate) bitmaps evaluated on
+     * the opened chunks (dictionary chunks on their codes) and ANDed
+     * per column and per row group, then a decode of only the selected
+     * rows of every projected chunk. Opens the zone-map survivors'
+     * filter chunks, then the projected chunks of the row groups with
+     * a match, each chunk once per call: `chunk_bytes` fetches serially
+     * in request order (degraded reads and fault.* counters stay
+     * deterministic), then decompression fans out on the shared
+     * ThreadPool. Leaves the reply sizes empty. The base fetches
+     * through the read path (executeDataPlane), a delta segment from
+     * its replica.
      */
     static Result<DataPlane> runDataPlane(const format::FileMetadata &meta,
                                           const query::Query &q,
-                                          const ChunkSource &source);
+                                          const ChunkBytesFn &chunk_bytes);
 
-    /**
-     * runDataPlane over the object's base plus its reply sizes,
-     * memoized per (object, query). The pointer stays valid until the
-     * object's memo entry is dropped (dropCaches, delete, overwrite or
-     * compaction swap).
-     */
-    Result<const DataPlane *> executeDataPlane(const ObjectManifest &manifest,
-                                               const query::Query &q);
+    /** runDataPlane over the object's base, plus its reply sizes. */
+    Result<DataPlane> executeDataPlane(const ObjectManifest &manifest,
+                                       const query::Query &q);
 
     /**
      * Fills a base data plane's reply sizes. One parallel row-group pass
@@ -382,16 +361,10 @@ class ObjectStore
         obs_.metrics.doubleCounter("fault.backoff_seconds");
     obs::Counter &pushdownFallbacks_ =
         obs_.metrics.counter("fault.pushdown_fallbacks");
-    obs::Counter &cacheDecodeHit_ = obs_.metrics.counter("cache.decode.hit");
-    obs::Counter &cacheDecodeMiss_ = obs_.metrics.counter("cache.decode.miss");
-    obs::Counter &cachePlanHit_ = obs_.metrics.counter("cache.plan.hit");
-    obs::Counter &cachePlanMiss_ = obs_.metrics.counter("cache.plan.miss");
 
     /**
-     * The semantic hot-chunk cache. Unlike the data-plane memo below it
-     * survives dropCaches(): entries are kept correct by explicit
-     * invalidation (deleteObject, degraded reads touching the chunk),
-     * not by being experiment-speed artifacts.
+     * The semantic hot-chunk cache: entries are kept correct by explicit
+     * invalidation (deleteObject, degraded reads touching the chunk).
      */
     cache::ChunkCache chunkCache_;
     StageDag stages_;
@@ -438,9 +411,9 @@ class ObjectStore
     void dropGeneration(const ObjectManifest &manifest);
     /**
      * Forgets every derived trace of an object whose content changed:
-     * cache residency, memoized results and the chunk-heat entries
-     * (including its "@gN" / "@delta" aliases) — a later re-stripe or
-     * fusion_top must never see them.
+     * cache residency and the chunk-heat entries (including its "@gN"
+     * / "@delta" aliases) — a later re-stripe or fusion_top must never
+     * see them.
      */
     void forgetObject(const std::string &name);
 
@@ -449,20 +422,6 @@ class ObjectStore
      *  `size` is empty. */
     Result<Bytes> readObject(const std::string &name, uint64_t offset,
                              std::optional<uint64_t> size);
-
-    /**
-     * The data-plane memo, one entry per object name: an experiment-speed
-     * artifact that never decides a result or a simulated charge. An
-     * entry goes whenever the object's content changes (delete,
-     * overwrite, compaction swap); dropCaches() clears them all.
-     */
-    struct ObjectMemo {
-        /** Chunk id -> opened (decompressed) chunk. */
-        std::map<uint32_t, format::ChunkView> chunks;
-        /** Resolved query string -> its data plane. */
-        std::map<std::string, DataPlane> planes;
-    };
-    std::map<std::string, ObjectMemo> memo_;
 
     DeltaLifecycle lifecycle_;
 };

@@ -11,14 +11,27 @@
 
 namespace fusion::store {
 
+/** Bytes of a pushdown/fetch request message. */
+inline constexpr uint64_t kRequestRpcBytes = 256;
+/** Bytes of the client's query request. */
+inline constexpr uint64_t kClientRequestBytes = 512;
+/**
+ * A block read counts as timed out when its node is dead or so slowed
+ * that the modeled response (slowFactor x rpcLatency) exceeds this
+ * bound. Timed-out reads retry with backoff, then reconstruct from
+ * parity.
+ */
+inline constexpr double kReadTimeoutSeconds = 1e-3;
+/** Replication factor for append delta-log segments (small-object
+ *  regime: replicated, never erasure-coded). Capped at numNodes. */
+inline constexpr size_t kDeltaReplicas = 3;
+
 /** When DeltaLifecycle seals and folds an object's delta log. */
 struct CompactionPolicy {
     bool enabled = true;
     /** Seal when this many segments accumulate (or the log reaches
-     *  DeltaLifecycle's 1 MiB byte trigger)... */
+     *  DeltaLifecycle's 1 MiB byte trigger). */
     size_t maxDeltaSegments = 8;
-    /** ...or when the oldest segment is this old (0 = no age trigger). */
-    double maxAgeSeconds = 0.0;
 };
 
 /** Store-wide configuration. */
@@ -30,10 +43,6 @@ struct StoreOptions {
     uint64_t fixedBlockSize = 4ULL << 20;
     /** FAC fallback threshold (paper: 2%). */
     double overheadThreshold = 0.02;
-    /** Bytes of a pushdown/fetch request message. */
-    uint64_t requestRpcBytes = 256;
-    /** Bytes of the client's query request. */
-    uint64_t clientRequestBytes = 512;
     /** Apply the Cost Equation per chunk (Fusion). When false, every
      *  projection on an intact chunk is pushed down. */
     bool adaptivePushdown = true;
@@ -50,13 +59,6 @@ struct StoreOptions {
 
     // ---- degraded-read robustness (fault injection, see DESIGN.md) ----
 
-    /**
-     * A block read counts as timed out when its node is dead or so
-     * slowed that the modeled response (slowFactor x rpcLatency)
-     * exceeds this bound. Timed-out reads retry with backoff, then
-     * reconstruct from parity.
-     */
-    double readTimeoutSeconds = 1e-3;
     /** Retry attempts before a timed-out block read is declared lost. */
     size_t maxReadRetries = 3;
     /** First retry waits this long; later retries double it... */
@@ -66,9 +68,6 @@ struct StoreOptions {
 
     // ---- object lifecycle (append log + compaction, delta_lifecycle.h) ----
 
-    /** Replication factor for append delta-log segments (small-object
-     *  regime: replicated, never erasure-coded). Capped at numNodes. */
-    size_t deltaReplicas = 3;
     /** Background compaction triggers; enabled by default (a store
      *  that never appends schedules no events). */
     CompactionPolicy compaction;

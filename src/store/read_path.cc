@@ -71,7 +71,7 @@ ReadPath::nodeResponsive(const sim::StorageNode &node) const
         return false;
     double response =
         node.slowFactor() * cluster_.config().node.rpcLatency;
-    return response <= options_.readTimeoutSeconds;
+    return response <= kReadTimeoutSeconds;
 }
 
 const Bytes *
@@ -100,7 +100,7 @@ ReadPath::fetchBlockWithRetry(const ObjectManifest &manifest, size_t stripe,
             responsive =
                 faults->aliveAt(node_id, when) &&
                 faults->slowFactorAt(node_id, when) * rpc <=
-                    options_.readTimeoutSeconds;
+                    kReadTimeoutSeconds;
         } else {
             responsive = nodeResponsive(node);
         }
@@ -368,7 +368,7 @@ ReadPath::appendChunkFetchTasks(const ObjectManifest &manifest,
             manifest.stripeNodes[piece.stripe][piece.blockIndex];
         if (nodeResponsive(cluster_.node(node_id))) {
             SimTask task{TaskKind::kPieceFetch, manifest, chunk_id, node_id,
-                         options_.requestRpcBytes, piece.size, 0.0,
+                         kRequestRpcBytes, piece.size, 0.0,
                          piece.size, 0.0};
             task.shareKey = key_base + std::to_string(ordinal++);
             tasks.push_back(std::move(task));
@@ -388,7 +388,7 @@ ReadPath::appendChunkFetchTasks(const ObjectManifest &manifest,
                 continue; // known zero: no I/O
             const uint64_t size = read.hi - read.lo;
             SimTask task{TaskKind::kStripeRange, manifest, chunk_id,
-                         read.nodeId, options_.requestRpcBytes, size, 0.0,
+                         read.nodeId, kRequestRpcBytes, size, 0.0,
                          size, 0.0};
             // The range keeps two lost chunks of one stripe apart.
             task.shareKey = "stripe|" + manifest.shareName() + "|" +

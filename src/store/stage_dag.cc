@@ -31,7 +31,7 @@ StageDag::makeSharedFetchTask(const SimTask &pushdown) const
                      "not a per-chunk projection pushdown task");
     SimTask fetch = pushdown;
     fetch.kind = TaskKind::kChunkFetch;
-    fetch.requestBytes = options_.requestRpcBytes;
+    fetch.requestBytes = kRequestRpcBytes;
     fetch.diskBytes = pushdown.chunkStoredBytes;
     fetch.nodeCpuWork = 0.0;
     fetch.replyBytes = pushdown.chunkStoredBytes;
@@ -180,11 +180,11 @@ StageDag::simulateQuery(std::shared_ptr<QueryPlan> plan, double start_seconds,
             "\"latency_seconds\": " + obs::formatDouble(latency));
         const sim::NodeConfig &nc = cluster_.config().node;
         const uint64_t bytes =
-            options_.clientRequestBytes + plan->clientReplyBytes;
+            kClientRequestBytes + plan->clientReplyBytes;
         out.networkBytes += bytes;
         out.networkSeconds +=
             static_cast<double>(bytes) / nc.nicBandwidth + 2 * nc.rpcLatency;
-        wireClientRequest_.add(options_.clientRequestBytes);
+        wireClientRequest_.add(kClientRequestBytes);
         wireClientReply_.add(plan->clientReplyBytes);
         wireClientReplyPlain_.add(plan->clientReplyPlainBytes);
         obs_.tracer.endSpan((*spans)[0]);
@@ -267,7 +267,7 @@ StageDag::simulateQuery(std::shared_ptr<QueryPlan> plan, double start_seconds,
             filter_stage();
     };
 
-    cluster_.transfer(*client, *coord, options_.clientRequestBytes,
+    cluster_.transfer(*client, *coord, kClientRequestBytes,
                       start_plan);
 }
 

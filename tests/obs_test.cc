@@ -463,7 +463,6 @@ TEST(ExplainTest, FaultedNodeDecisionsRecordHealthFallback)
     std::shared_ptr<const obs::QueryExplain> report;
     for (size_t victim : {0, 1, 2}) {
         rig.cluster->killNode(victim);
-        rig.store->dropCaches();
         auto outcome = rig.store->querySql(
             "SELECT l_orderkey, l_extendedprice FROM lineitem "
             "WHERE l_quantity < 30");

@@ -12,8 +12,8 @@
  * admission, per-node dedup stats), and the determinism contract —
  * scheduler metrics, trace and EXPLAIN output byte-identical across
  * FUSION_THREADS values, including open-loop arrivals under a crash
- * fault schedule — and the data-plane memo's invisibility: dropping it
- * before every submit changes no outcome and no cache or wire counter.
+ * fault schedule, and a windowed-then-solo query sequence whose
+ * outcomes and cache and wire counters match at 1 and 4 threads.
  */
 #include <gtest/gtest.h>
 
@@ -1113,21 +1113,20 @@ TEST(OpenLoopDeterminismTest, ResultsMatchIsolatedExecution)
 }
 
 // ---------------------------------------------------------------------
-// The data-plane memo is an experiment-speed artifact: a query sequence
-// run with dropCaches() before every submit must match the same
-// sequence run with the memo kept, outcome for outcome and counter for
-// counter, whatever the thread count.
+// The thread count is invisible: a query sequence through the admission
+// window and alone must give the same outcomes and counters at
+// FUSION_THREADS 1 and 4.
 // ---------------------------------------------------------------------
 
-struct MemoRun {
+struct SequenceRun {
     std::vector<store::QueryOutcome> outcomes;
     /** cache.chunk.* and wire.* instruments at the end of the run. */
     std::map<std::string, double> instruments;
     uint64_t fetchConversions = 0;
 };
 
-MemoRun
-runMemoSequence(bool fusion, size_t threads, bool drop_memo)
+SequenceRun
+runSequence(bool fusion, size_t threads)
 {
     ThreadPool::setSharedThreads(threads);
     sim::ClusterConfig config;
@@ -1174,7 +1173,7 @@ runMemoSequence(bool fusion, size_t threads, bool drop_memo)
     const query::Query no_match = parse(
         "SELECT l_discount FROM lineitem WHERE l_extendedprice = 20000.01");
 
-    MemoRun run;
+    SequenceRun run;
     // Admission window on a cold cache: the fetcher arrives while the
     // pusher's pushdowns are pending and converts them to a shared
     // fetch, which admits the chunks.
@@ -1182,8 +1181,6 @@ runMemoSequence(bool fusion, size_t threads, bool drop_memo)
     sim::SimEngine &engine = cluster.engine();
     std::vector<sched::QueryHandle *> handles;
     auto submit = [&](const query::Query &q) {
-        if (drop_memo)
-            store->dropCaches();
         handles.push_back(scheduler.submit(q, handles.size()));
     };
     submit(pusher);
@@ -1199,8 +1196,6 @@ runMemoSequence(bool fusion, size_t threads, bool drop_memo)
 
     // Then queries alone, against whatever the window left resident.
     auto solo = [&](const query::Query &q) {
-        if (drop_memo)
-            store->dropCaches();
         auto outcome = store->query(q);
         FUSION_CHECK(outcome.isOk());
         run.outcomes.push_back(outcome.value());
@@ -1230,7 +1225,7 @@ runMemoSequence(bool fusion, size_t threads, bool drop_memo)
 }
 
 void
-expectSameRun(const MemoRun &got, const MemoRun &want,
+expectSameRun(const SequenceRun &got, const SequenceRun &want,
               const std::string &label)
 {
     EXPECT_EQ(got.instruments, want.instruments) << label;
@@ -1256,25 +1251,19 @@ expectSameRun(const MemoRun &got, const MemoRun &want,
     }
 }
 
-TEST(MemoInvisibilityTest, DroppingTheMemoChangesNoOutcome)
+TEST(ThreadInvisibilityTest, ThreadCountChangesNoOutcome)
 {
     for (bool fusion : {true, false}) {
         const std::string store = fusion ? "fusion" : "baseline";
-        MemoRun kept = runMemoSequence(fusion, 1, false);
-        // The sequence exercises what the memo could leak into: cache
+        SequenceRun serial = runSequence(fusion, 1);
+        // The sequence exercises what threads could leak into: cache
         // hits, an appended object with an AVG and (Fusion) a
         // mid-window conversion to a shared fetch.
-        EXPECT_GT(kept.instruments.at("cache.chunk.hits"), 0.0) << store;
-        EXPECT_GT(kept.outcomes[3].deltaSegmentsScanned, 0u) << store;
-        EXPECT_EQ(kept.fetchConversions > 0, fusion) << store;
-        for (size_t threads : {1, 4}) {
-            const std::string label =
-                store + " at FUSION_THREADS=" + std::to_string(threads);
-            expectSameRun(runMemoSequence(fusion, threads, true), kept,
-                          label + ", memo dropped");
-            expectSameRun(runMemoSequence(fusion, threads, false), kept,
-                          label + ", memo kept");
-        }
+        EXPECT_GT(serial.instruments.at("cache.chunk.hits"), 0.0) << store;
+        EXPECT_GT(serial.outcomes[3].deltaSegmentsScanned, 0u) << store;
+        EXPECT_EQ(serial.fetchConversions > 0, fusion) << store;
+        expectSameRun(runSequence(fusion, 4), serial,
+                      store + " at FUSION_THREADS=4");
     }
 }
 

@@ -118,7 +118,6 @@ TEST(RecoveryTest, SingleNodeCrashReconstructsEveryChunkBitExact)
     ASSERT_TRUE(rig.store->put("lineitem", object).isOk());
 
     rig.cluster->killNode(4);
-    rig.store->dropCaches();
 
     // get() walks every chunk of the object; blocks on the dead node
     // must be rebuilt from parity and the result must be bit-exact.
@@ -139,8 +138,7 @@ TEST(RecoveryTest, AnySingleNodeCrashMidQueryKeepsResultsIdentical)
 {
     Bytes object = lineitemBytes();
 
-    // Distinct SQL per phase so the memoized data plane re-executes
-    // while the fault is active.
+    // Queries before, during and after the crash window.
     std::vector<std::pair<double, query::Query>> timeline = {
         {0.0, sql("SELECT l_orderkey FROM lineitem "
                   "WHERE l_quantity < 5")},
@@ -192,7 +190,6 @@ TEST(RecoveryTest, NMinusKSimultaneousFailuresStillAnswerQueries)
     rig.cluster->killNode(1);
     rig.cluster->killNode(5);
     rig.cluster->killNode(8);
-    rig.store->dropCaches();
 
     auto back = rig.store->get("lineitem");
     ASSERT_TRUE(back.isOk()) << back.status().toString();
@@ -225,7 +222,6 @@ TEST(RecoveryTest, BeyondToleranceFailsWithCleanStatus)
     // n - k + 1 = 4 failures: unrecoverable, but never a crash.
     for (size_t victim : {0, 2, 4, 6})
         rig.cluster->killNode(victim);
-    rig.store->dropCaches();
 
     auto back = rig.store->get("lineitem");
     ASSERT_FALSE(back.isOk());
@@ -240,7 +236,6 @@ TEST(RecoveryTest, BeyondToleranceFailsWithCleanStatus)
 
     // Reviving one node makes the object readable again.
     rig.cluster->reviveNode(0);
-    rig.store->dropCaches();
     auto healed = rig.store->get("lineitem");
     ASSERT_TRUE(healed.isOk()) << healed.status().toString();
     EXPECT_EQ(healed.value(), object);
@@ -257,7 +252,6 @@ TEST(RecoveryTest, RetryBackoffIsBoundedAndCounted)
     ASSERT_TRUE(rig.store->put("lineitem", object).isOk());
 
     rig.cluster->killNode(3);
-    rig.store->dropCaches();
     ASSERT_TRUE(rig.store->get("lineitem").isOk());
 
     const uint64_t timeouts = faultCount(*rig.store, "read_timeouts");
@@ -273,6 +267,26 @@ TEST(RecoveryTest, RetryBackoffIsBoundedAndCounted)
     // timed-out read, then the 1 ms probe per fail-fast read.
     EXPECT_NEAR(faultBackoffSeconds(*rig.store),
                 7e-3 + 1e-3 * static_cast<double>(timeouts - 1), 1e-9);
+}
+
+// No query's reads are served from another query's: the same query run
+// twice under the same fault pays its degraded reads both times.
+TEST(RecoveryTest, RepeatedQueryUnderFaultChargesItsDegradedReadsAgain)
+{
+    for (bool fusion : {true, false}) {
+        TestRig rig = makeRig(fusion);
+        ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes()).isOk());
+        rig.cluster->killNode(4);
+        for (int run = 0; run < 2; ++run) {
+            auto outcome = rig.store->querySql(
+                "SELECT * FROM lineitem WHERE l_quantity < 30");
+            ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
+            EXPECT_GT(outcome.value().readRetries +
+                          outcome.value().parityReconstructions,
+                      0u)
+                << (fusion ? "fusion" : "baseline") << ", run " << run;
+        }
+    }
 }
 
 TEST(RecoveryTest, FlappingNodeRecoversDuringBackoffWithoutRebuild)
@@ -312,7 +326,6 @@ TEST(RecoveryTest, GrayFailureTriggersPushdownFallback)
     // Slow (not dead): modeled response 100 x 150us >> 1 ms timeout,
     // so reads treat the node as unresponsive and queries reroute.
     rig.cluster->node(6).setSlowFactor(100.0);
-    rig.store->dropCaches();
 
     const char *text = "SELECT * FROM lineitem WHERE l_quantity < 20";
     auto slow = rig.store->querySql(text);
@@ -345,7 +358,6 @@ TEST(RecoveryTest, BaselineStoreSurvivesFaultsToo)
 
     rig.cluster->killNode(0);
     rig.cluster->killNode(7);
-    rig.store->dropCaches();
 
     const char *text =
         "SELECT l_orderkey FROM lineitem WHERE l_quantity < 15";
@@ -384,11 +396,10 @@ TEST(RecoveryCacheTest, DegradedReadsInvalidateCachedChunks)
         m.nodesForChunk(rig.store->chunkCache().residentKeys()[0].second)
             .at(0);
     rig.cluster->killNode(victim);
-    rig.store->dropCaches(); // memoization only; chunk cache survives
 
-    // A new literal forces the data plane to re-execute against the
-    // dead node: chunks with pieces there are reconstructed from
-    // parity, and each reconstruction invalidates its cache entry.
+    // The data plane re-reads against the dead node: chunks with
+    // pieces there are reconstructed from parity, and each
+    // reconstruction invalidates its cache entry.
     auto degraded = rig.store->querySql(
         "SELECT l_quantity FROM lineitem WHERE l_quantity < 40");
     ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
@@ -408,7 +419,6 @@ TEST(RecoveryCacheTest, DegradedReadsInvalidateCachedChunks)
     TestRig reference = makeRig(true);
     ASSERT_TRUE(reference.store->put("lineitem", object).isOk());
     reference.cluster->killNode(victim);
-    reference.store->dropCaches();
     auto expected = reference.store->querySql(
         "SELECT l_quantity FROM lineitem WHERE l_quantity < 40");
     ASSERT_TRUE(expected.isOk());
@@ -462,11 +472,6 @@ TEST(RecoveryCacheTest, CrashReviveScheduleMatchesCacheOffReference)
         rig.faults = std::make_unique<sim::FaultInjector>(*rig.cluster,
                                                           schedule);
         rig.faults->arm();
-        // Drop the memoization caches inside the crash window so the
-        // 0.1+ queries re-execute their data planes against the dead
-        // node (the semantic chunk cache survives this).
-        rig.cluster->engine().scheduleAt(
-            0.08, [store = rig.store.get()]() { store->dropCaches(); });
         auto outcomes = runAt(*rig.store, timeline);
         return std::make_pair(std::move(rig), std::move(outcomes));
     };
@@ -617,7 +622,6 @@ TEST(RecoveryTest, RepairAfterMediaLossCountsReconstructions)
     EXPECT_EQ(faultCount(*rig.store, "parity_reconstructions"),
               rebuilt.value());
 
-    rig.store->dropCaches();
     auto back = rig.store->get("lineitem");
     ASSERT_TRUE(back.isOk());
     EXPECT_EQ(back.value(), object);
@@ -693,7 +697,6 @@ TEST(RecoveryTest, DegradedReadsRebuildOnlyTheLostRange)
         EXPECT_EQ(faultCount(*rig.store, "parity_reconstructions"),
                   survivor_bytes.size());
 
-        rig.store->dropCaches();
         auto degraded = rig.store->query(q);
         ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
         expectSameResults(degraded.value().result,

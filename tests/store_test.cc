@@ -703,43 +703,5 @@ TEST(ClientReplyTest, ZeroRowResultShipsNothing)
     }
 }
 
-TEST(MemoCounterTest, DecodeCountsOneHitOrMissPerDistinctChunk)
-{
-    const size_t rows = 4000;
-    format::Table table = workload::makeLineitemTable(rows, 7);
-    TestRig rig = makeRig(true);
-    ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes(rows)).isOk());
-    auto first = rig.store->querySql(
-        "SELECT l_extendedprice FROM lineitem WHERE l_quantity < 10");
-    ASSERT_TRUE(first.isOk());
-
-    // Every scanned row group decodes its l_quantity chunk; each one
-    // with a match also decodes its l_extendedprice chunk.
-    const format::FileMetadata &meta =
-        rig.store->manifest("lineitem").value()->fileMeta;
-    uint64_t decoded = first.value().rowGroupsScanned;
-    size_t row = 0;
-    for (const auto &group : meta.rowGroups) {
-        bool matched = false;
-        for (size_t r = row; r < row + group.numRows; ++r)
-            matched = matched ||
-                      table.column(workload::kQuantity).valueAt(r).numeric() <
-                          10;
-        decoded += matched ? 1 : 0;
-        row += group.numRows;
-    }
-    ASSERT_EQ(row, rows);
-    EXPECT_EQ(counterValue(*rig.store, "cache.decode.miss"), decoded);
-    EXPECT_EQ(counterValue(*rig.store, "cache.decode.hit"), 0u);
-
-    // A different query over the same filter column finds its filter
-    // chunks already decoded.
-    ASSERT_TRUE(rig.store
-                    ->querySql("SELECT l_discount FROM lineitem "
-                               "WHERE l_quantity < 20")
-                    .isOk());
-    EXPECT_GT(counterValue(*rig.store, "cache.decode.hit"), 0u);
-}
-
 } // namespace
 } // namespace fusion::store
